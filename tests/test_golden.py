@@ -1,0 +1,45 @@
+"""Byte-for-byte golden outputs of the command line.
+
+Each file under tests/golden/ holds the exact stdout of one command; a
+refactor that changes a single witness character fails here, where the
+determinism tests (same output twice in one process) would still pass.
+The lattice pair L, L(-1) is A2 + [[2,1],[1,-2]] with the isometry
+(rotation of order 3) + [[1,1],[1,2]], glue group Z/15.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from k3glue.cli import main
+
+GOLDEN = Path(__file__).with_name("golden")
+
+#: the value perfbench/checks.py pins for `certify-k3 --machine`
+CERTIFY_SHA256 = "d60e6e75608999241b58e14a989d65a9ce2419b5804f4d1bdc9f2e0378f8ca24"
+
+CASES = {
+    "certify_k3_machine": ["certify-k3", "--machine"],
+    "gram_k3": ["gram", "--which", "K3"],
+    "table1": ["table1"],
+    "cross_validate_200": ["cross-validate", "--max", "200"],
+    "lattice_info_l": ["lattice-info", "{golden}/pair_l.lat"],
+    "lattice_info_l_neg": ["lattice-info", "{golden}/pair_l_neg.lat"],
+    "glue_l_l_neg": ["glue", "{golden}/pair_l.lat", "{golden}/pair_l_neg.lat"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, capsys, monkeypatch):
+    monkeypatch.delenv("K3GLUE_DIGITS", raising=False)
+    argv = [arg.format(golden=GOLDEN) for arg in CASES[name]]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_certify_golden_is_the_benchmark_pin():
+    data = (GOLDEN / "certify_k3_machine.out").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == CERTIFY_SHA256
