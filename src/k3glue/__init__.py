@@ -28,7 +28,7 @@ from .lattices import (
     twist,
 )
 from .latticeio import LatticeParseError, format_lattice, parse_lattice, read_lattice_file
-from .matrices import IntMatrix, RatMatrix, charpoly, hermite_normal_form, smith_normal_form
+from .matrices import IntMatrix, charpoly, hermite_normal_form, smith_normal_form
 from .polynomials import IntPoly
 from .salem import admissible_values, cross_validate, salem_value, square_condition_filter, theorem_b_set
 
@@ -45,7 +45,6 @@ __all__ = [
     "Lattice",
     "LatticeParseError",
     "NoGlueMapError",
-    "RatMatrix",
     "RealSubfieldElement",
     "admissible_values",
     "assemble_k3",

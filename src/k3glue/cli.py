@@ -29,28 +29,10 @@ def _default_digits():
     raw = os.environ.get("K3GLUE_DIGITS")
     if raw is None:
         return EMBEDDING_DIGITS
-    if not raw.isdigit() or int(raw) < 1:
-        raise LatticeParseError(f"K3GLUE_DIGITS={raw!r} is not a positive integer")
-    return int(raw)
-
-
-def _poly_text(p):
-    if p.is_zero():
-        return "0"
-    terms = []
-    for i in range(p.degree, -1, -1):
-        c = p.coeffs[i]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else ("+" if terms else "")
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
-        else:
-            head = "" if mag == 1 else str(mag)
-            body = f"{head}X" if i == 1 else f"{head}X^{i}"
-        terms.append(sign + body)
-    return "".join(terms)
+    try:
+        return _positive_int(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise LatticeParseError(f"K3GLUE_DIGITS={exc}") from None
 
 
 def _cmd_certify(args):
@@ -84,7 +66,7 @@ def _cmd_lattice_info(args):
             v = group.quadratic(group.lifts[i])
             out.append(f"torsion_q {i + 1} {v.value} mod 2")
     if isometry is not None:
-        out.append(f"isometry_charpoly {_poly_text(isometry.charpoly())}")
+        out.append(f"isometry_charpoly {isometry.charpoly()}")
     print("\n".join(out))
     return EXIT_OK
 
@@ -145,7 +127,7 @@ def _cmd_trace_set(args):
 
 
 def _cmd_cross_validate(args):
-    report = cross_validate(args.max)
+    report = cross_validate(args.max, certify().passed)
     sys.stdout.write(report.to_text())
     return EXIT_OK if report.mismatches == 0 else EXIT_CHECK_FAILED
 
@@ -163,7 +145,8 @@ def _cmd_gram(args):
 
 
 def _positive_int(text):
-    if not text.isdigit() or int(text) < 1:
+    # isdigit() alone admits characters such as '\u00b2' that int() rejects
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
     return int(text)
 

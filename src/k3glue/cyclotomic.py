@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .lattices import Lattice, check_isometry
-from .matrices import IntMatrix, companion
+from .matrices import IntMatrix, common_denominator, companion, solve_rational
 from .polynomials import (
     IntPoly,
     div_exact,
@@ -229,23 +229,20 @@ class CycloElement:
         return CycloElement(self.field, acc)
 
     def inverse(self):
-        """Inverse mod Phi_n by the extended euclidean algorithm."""
+        """Inverse mod Phi_n: solve (multiplication by self) x = 1."""
         if self.is_zero():
             raise ZeroDivisionError("inversion of zero")
-        # r0 = Phi_n, r1 = self; track s with s*self = r mod Phi_n
-        r0 = [Fraction(c) for c in self.field.phi_n.coeffs]
-        r1 = list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(c != 0 for c in r1):
-            q, r = _poly_divmod_frac(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # r0 is a nonzero constant gcd (Phi_n irreducible)
-        if len(_strip(r0)) != 1:
-            raise AssertionError("gcd with an irreducible modulus is nonconstant")
-        c = r0[0]
-        inv = [x / c for x in s0]
-        return self.field.element(inv)
+        num, q = common_denominator([self.coeffs])
+        nums = num.row(0)
+        table = self.field._power_table()
+        n, d = self.field.n, self.field.degree
+        # entry (k, j): the X^k coefficient of num * X^j mod Phi_n
+        mult = IntMatrix(
+            [[sum(c * table[(i + j) % n][k] for i, c in enumerate(nums)) for j in range(d)]
+             for k in range(d)]
+        )
+        x, den = solve_rational(mult, IntMatrix([[q]] + [[0]] * (d - 1)))
+        return CycloElement(self.field, [Fraction(c, den) for c in x.col(0)])
 
     def trace(self):
         """Tr over Q: linear extension of the cached monomial power sums."""
@@ -262,52 +259,6 @@ class CycloElement:
 
     def __repr__(self):
         return f"CycloElement({self.field.n}, {list(self.coeffs)})"
-
-
-def _strip(coeffs):
-    k = len(coeffs)
-    while k > 0 and coeffs[k - 1] == 0:
-        k -= 1
-    return coeffs[:k]
-
-
-def _poly_divmod_frac(a, b):
-    a, b = _strip(list(a)), _strip(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    r = [Fraction(c) for c in a]
-    while len(r) >= len(b) and _strip(r):
-        r = _strip(r)
-        if len(r) < len(b):
-            break
-        c = r[-1] / b[-1]
-        k = len(r) - len(b)
-        q[k] = c
-        for i in range(len(b)):
-            r[k + i] -= c * b[i]
-        r = r[:-1]
-    return q, _strip(r)
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out
 
 
 class RealSubfieldElement:
@@ -370,41 +321,10 @@ def real_subfield(e):
     for _ in range(m):
         cols.append(power.coeffs)
         power = power * y
-    sol = _solve_tall(cols, e.coeffs)
-    if sol is None:
-        raise AssertionError("fixed element outside the real subfield basis")
-    return RealSubfieldElement(field, sol)
-
-
-def _solve_tall(cols, rhs):
-    """Solve a consistent tall linear system by fraction Gauss elimination."""
-    rows = len(rhs)
-    k = len(cols)
-    aug = [[Fraction(cols[j][i]) for j in range(k)] + [Fraction(rhs[i])] for i in range(rows)]
-    piv_cols = []
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        lead = aug[r][c]
-        aug[r] = [x / lead for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    if len(piv_cols) < k:
-        return None  # dependent columns; callers pass a basis
-    for i in range(r, rows):
-        if aug[i][k] != 0:
-            return None
-    sol = [Fraction(0)] * k
-    for i, c in enumerate(piv_cols):
-        sol[c] = aug[i][k]
-    return sol
+    rhs, q = common_denominator([e.coeffs])
+    # the powers of y are integral; the tall solve raises when e leaves their span
+    x, den = solve_rational(IntMatrix(cols).transpose(), rhs.transpose())
+    return RealSubfieldElement(field, [Fraction(c, den * q) for c in x.col(0)])
 
 
 def norm_real_subfield(e):
@@ -415,10 +335,6 @@ def norm_real_subfield(e):
     if rep.is_zero():
         raise ValueError("norm of zero")
     return Fraction(resultant(psi, rep), q**psi.degree)
-
-
-def trace_K_over_Q(e):
-    return e.trace()
 
 
 def embedding_labels(n):
@@ -512,10 +428,6 @@ def twist_element_parts(field):
     if not a.is_integral():
         raise AssertionError("twist element is not integral")
     return {"a": a, "u1": u1, "u2": u2, "a_prime": a_prime}
-
-
-def build_twist_element(field):
-    return twist_element_parts(field)["a"]
 
 
 def build_trace_form_lattice(field, a):

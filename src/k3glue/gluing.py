@@ -12,15 +12,22 @@ from fractions import Fraction
 from itertools import product
 
 from .lattices import (
-    Isometry,
     Lattice,
     _matvec,
     _p_part_coords,
-    _vec_mod1,
     check_isometry,
     sylow_decomposition,
 )
-from .matrices import IntMatrix, RatMatrix, det, hermite_normal_form, rational_inverse
+from .matrices import (
+    IntMatrix,
+    block_diagonal,
+    common_denominator,
+    det,
+    exact_quotient,
+    hermite_normal_form,
+    join_columns,
+    solve_rational,
+)
 
 
 class NoGlueMapError(Exception):
@@ -29,23 +36,6 @@ class NoGlueMapError(Exception):
     def __init__(self, message, obstruction):
         super().__init__(message)
         self.obstruction = obstruction
-
-
-def _comp_lift(comp, coords):
-    """Dual representative of the component class with the given coordinates."""
-    n = len(comp.lifts[0])
-    acc = [Fraction(0)] * n
-    for c, lift in zip(coords, comp.lifts):
-        for i in range(n):
-            acc[i] += c * lift[i]
-    return _vec_mod1(acc)
-
-
-def _comp_class_order(comp, coords):
-    o = 1
-    for c, d in zip(coords, comp.orders):
-        o = math.lcm(o, d // math.gcd(d, c % d))
-    return o
 
 
 def anti_isometry_scalars(q1, q2, order):
@@ -89,7 +79,7 @@ class GlueMap:
             for j in range(k):
                 coords = tuple(1 if i == j else 0 for i in range(k))
                 image = gc.image_coords(coords)
-                pairs.append((gc.comp1.lifts[j], _comp_lift(gc.comp2, image)))
+                pairs.append((gc.comp1.lifts[j], gc.comp2.lift_of(image)))
         return pairs
 
     def matches_classes(self, x, y):
@@ -103,12 +93,12 @@ class GlueMap:
 
 
 def _quad(group, comp, coords):
-    return group.quadratic(_comp_lift(comp, coords)).value
+    return group.quadratic(comp.lift_of(coords)).value
 
 
 def _pair_num(group, comp, coords_a, coords_b, p):
     """Numerator mod p of the torsion pairing of two p-part classes."""
-    v = group.bilinear(_comp_lift(comp, coords_a), _comp_lift(comp, coords_b)).value
+    v = group.bilinear(comp.lift_of(coords_a), comp.lift_of(coords_b)).value
     return int(v * p) % p
 
 
@@ -128,7 +118,7 @@ def _verify_component(g1, g2, action1, action2, gc):
         x = gc.comp1.lifts[j]
         tx = action1.isometry.apply(x)
         left = gc.image_coords(_p_part_coords(g1, gc.comp1, tx))
-        y = _comp_lift(gc.comp2, gc.image_coords(basis[j]))
+        y = gc.comp2.lift_of(gc.image_coords(basis[j]))
         right = _p_part_coords(g2, gc.comp2, action2.isometry.apply(y))
         if left != right:
             return "equivariance mismatch"
@@ -225,13 +215,13 @@ def _find_exhaustive(g1, g2, action1, action2, comp1, comp2):
     basis = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
 
     def admissible(assigned, j, cand):
-        if _comp_class_order(comp2, cand) != comp1.orders[j]:
+        if comp2.class_order(cand) != comp1.orders[j]:
             return False
         if (_quad(g1, comp1, basis[j]) + _quad(g2, comp2, cand)) % 2 != 0:
             return False
         for i, prev in enumerate(assigned):
             want = -g1.bilinear(comp1.lifts[i], comp1.lifts[j]).value % 1
-            got = g2.bilinear(_comp_lift(comp2, prev), _comp_lift(comp2, cand)).value
+            got = g2.bilinear(comp2.lift_of(prev), comp2.lift_of(cand)).value
             if got != want:
                 return False
         return True
@@ -322,7 +312,10 @@ def verify_glue_map(gmap, action1, action2):
 @dataclass(frozen=True)
 class GluingResult:
     ambient: Lattice
-    basis: RatMatrix  # rows are ambient basis vectors in L1 (+) L2 coordinates
+    #: rows, divided by `scale`, are the ambient basis vectors in
+    #: L1 (+) L2 coordinates
+    basis: IntMatrix
+    scale: int  # positive common denominator of the basis rows
     embed1: IntMatrix  # columns: L1 basis in ambient coordinates
     embed2: IntMatrix
     lattice1: Lattice
@@ -336,69 +329,47 @@ def glue(l1, l2, gmap):
     The ambient basis is the HNF of the stacked generators (L1 basis,
     L2 basis, graph lifts), so the output Gram matrix is canonical.
     """
-    n1, n2 = l1.rank, l2.rank
-    n = n1 + n2
-    rows = []
-    for i in range(n1):
-        rows.append([Fraction(1 if j == i else 0) for j in range(n1)] + [Fraction(0)] * n2)
-    for i in range(n2):
-        rows.append([Fraction(0)] * n1 + [Fraction(1 if j == i else 0) for j in range(n2)])
-    for x, y in gmap.graph_pairs():
-        rows.append([Fraction(c) for c in x] + [Fraction(c) for c in y])
-    scale = math.lcm(*(c.denominator for row in rows for c in row))
-    stacked = IntMatrix([[int(c * scale) for c in row] for row in rows])
+    n1, n = l1.rank, l1.rank + l2.rank
+    rows = list(IntMatrix.identity(n).data) + [x + y for x, y in gmap.graph_pairs()]
+    stacked, scale = common_denominator(rows)
     h, _ = hermite_normal_form(stacked)
-    top = [h.row(i) for i in range(n)]
-    if any(any(h[i, j] for j in range(n)) for i in range(n, h.rows)):
+    if any(any(row) for row in h.data[n:]):
         raise AssertionError("generator stack has rank above the ambient rank")
-    basis = RatMatrix([[Fraction(c, scale) for c in row] for row in top])
+    basis = IntMatrix(h.data[:n])
 
-    for i in range(n):
-        x = basis.row(i)[:n1]
-        y = basis.row(i)[n1:]
+    for row in basis.data:
+        x = [Fraction(c, scale) for c in row[:n1]]
+        y = [Fraction(c, scale) for c in row[n1:]]
         if not (l1.in_dual(x) and l2.in_dual(y)):
             raise AssertionError("ambient basis vector outside the dual sum")
         if not gmap.matches_classes(x, y):
             raise AssertionError("ambient basis vector violates the glue condition")
 
-    block = [
-        [l1.gram[i, j] if i < n1 and j < n1 else
-         (l2.gram[i - n1, j - n1] if i >= n1 and j >= n1 else 0)
-         for j in range(n)]
-        for i in range(n)
-    ]
-    gram_q = basis @ RatMatrix(block) @ basis.transpose()
-    if not gram_q.is_integral():
-        raise AssertionError("glued form is not integral")
-    ambient = Lattice(gram_q.to_integer())
+    gram = basis @ block_diagonal(l1.gram, l2.gram) @ basis.transpose()
+    try:
+        ambient = Lattice(exact_quotient(gram, scale * scale))
+    except ValueError:
+        raise AssertionError("glued form is not integral") from None
     if not ambient.is_even():
         raise AssertionError("glued lattice is not even")
     if abs(ambient.det) != 1:
         raise AssertionError("glued lattice is not unimodular")
 
-    binv_t = rational_inverse(basis.transpose())
-    embeds = []
-    for lo, hi in ((0, n1), (n1, n)):
-        cols = []
-        for j in range(lo, hi):
-            unit = [Fraction(1 if i == j else 0) for i in range(n)]
-            coords = _matvec(binv_t, unit)
-            if any(c.denominator != 1 for c in coords):
-                raise AssertionError("direct summand escapes the ambient lattice")
-            cols.append([int(c) for c in coords])
-        embeds.append(IntMatrix(cols).transpose())
-    embed1, embed2 = embeds
+    # column j of B^-T holds the j-th summand basis vector in ambient coordinates
+    coords, d = solve_rational(basis.transpose(), scale * IntMatrix.identity(n))
+    if d != 1:
+        raise AssertionError("direct summand escapes the ambient lattice")
+    embed1 = IntMatrix([row[:n1] for row in coords.data])
+    embed2 = IntMatrix([row[n1:] for row in coords.data])
 
     if embed1.transpose() @ ambient.gram @ embed1 != l1.gram:
         raise AssertionError("first embedding is not isometric")
     if embed2.transpose() @ ambient.gram @ embed2 != l2.gram:
         raise AssertionError("second embedding is not isometric")
-    joint = IntMatrix([[ (embed1[i, j] if j < n1 else embed2[i, j - n1]) for j in range(n)]
-                       for i in range(n)])
-    index = abs(det(joint))
+    index = abs(det(join_columns(embed1, embed2)))
     if index * index * abs(ambient.det) != abs(l1.det) * abs(l2.det):
         raise AssertionError("index law fails")
-    return GluingResult(ambient, basis, embed1, embed2, l1, l2, index)
+    return GluingResult(ambient, basis, scale, embed1, embed2, l1, l2, index)
 
 
 def extend_isometry(result, t1, t2):
@@ -407,19 +378,12 @@ def extend_isometry(result, t1, t2):
     Raises when the diagonal action does not stabilize the ambient
     lattice (an equivariance violation upstream).
     """
-    n1 = result.lattice1.rank
-    n = result.ambient.rank
-    block = [
-        [t1.matrix[i, j] if i < n1 and j < n1 else
-         (t2.matrix[i - n1, j - n1] if i >= n1 and j >= n1 else 0)
-         for j in range(n)]
-        for i in range(n)
-    ]
+    # with B = basis / scale the extension is B^-T T B^T; the scale cancels
     bt = result.basis.transpose()
-    ext = rational_inverse(bt) @ RatMatrix([[Fraction(c) for c in row] for row in block]) @ bt
-    if not ext.is_integral():
+    ext, d = solve_rational(bt, block_diagonal(t1.matrix, t2.matrix) @ bt)
+    if d != 1:
         raise ValueError("extension is not integral: glue map is not equivariant")
-    iso = check_isometry(result.ambient, ext.to_integer())
+    iso = check_isometry(result.ambient, ext)
     if iso.matrix @ result.embed1 != result.embed1 @ t1.matrix:
         raise AssertionError("extension does not restrict to the first isometry")
     if iso.matrix @ result.embed2 != result.embed2 @ t2.matrix:

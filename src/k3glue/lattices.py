@@ -10,6 +10,7 @@ from .arith import factorize
 from .matrices import (
     IntMatrix,
     charpoly,
+    common_denominator,
     det,
     kernel_basis,
     poly_of_matrix,
@@ -21,9 +22,12 @@ from .matrices import (
 
 
 def _matvec(m, v):
+    """M v for a vector of int or Fraction entries, in integers over the
+    vector's common denominator."""
     if m.cols != len(v):
         raise ValueError("dimension mismatch")
-    return tuple(sum(m[i, j] * Fraction(v[j]) for j in range(m.cols)) for i in range(m.rows))
+    x, d = common_denominator([v])
+    return tuple(Fraction(c, d) for c in (m @ x.transpose()).col(0))
 
 
 def _vec_mod1(v):
@@ -138,18 +142,10 @@ class GlueGroup:
 
     def lift_of(self, coords):
         """A dual representative of the class with the given coordinates."""
-        n = self.lattice.rank
-        acc = [Fraction(0)] * n
-        for c, lift in zip(coords, self.lifts):
-            for i in range(n):
-                acc[i] += c * lift[i]
-        return _vec_mod1(acc)
+        return _lift_of(self.lifts, coords)
 
     def class_order(self, coords):
-        o = 1
-        for c, d in zip(coords, self.orders):
-            o = math.lcm(o, d // math.gcd(d, c))
-        return o
+        return _class_order(self.orders, coords)
 
     def bilinear(self, x, y):
         """Torsion bilinear value b(x, y) mod 1 for dual representatives."""
@@ -173,6 +169,23 @@ class GlueGroup:
 
     def __repr__(self):
         return f"GlueGroup(orders={self.orders})"
+
+
+def _lift_of(lifts, coords):
+    """sum_j coords[j] * lifts[j], every coordinate reduced into [0, 1)."""
+    acc = [Fraction(0)] * len(lifts[0])
+    for c, lift in zip(coords, lifts):
+        for i, x in enumerate(lift):
+            acc[i] += c * x
+    return _vec_mod1(acc)
+
+
+def _class_order(orders, coords):
+    """Order of the element with the given coordinates on cyclic generators."""
+    o = 1
+    for c, d in zip(coords, orders):
+        o = math.lcm(o, d // math.gcd(d, c))
+    return o
 
 
 def glue_group(lattice):
@@ -204,6 +217,13 @@ class SylowComponent:
     @property
     def order(self):
         return math.prod(self.orders)
+
+    def lift_of(self, coords):
+        """A dual representative of the component class with these coordinates."""
+        return _lift_of(self.lifts, coords)
+
+    def class_order(self, coords):
+        return _class_order(self.orders, coords)
 
 
 def sylow_decomposition(group):
@@ -371,8 +391,10 @@ def is_primitive(lattice, sub):
     diag = snf.diagonal
     if len(diag) < sub.cols or any(d == 0 for d in diag):
         raise ValueError("generators are not linearly independent")
-    uinv = rational_inverse(snf.U).to_integer()
-    sat = IntMatrix([[uinv[i, j] for j in range(sub.cols)] for i in range(sub.rows)])
+    uinv, den = rational_inverse(snf.U)
+    if den != 1:
+        raise AssertionError("Smith transform is not unimodular")
+    sat = IntMatrix([row[:sub.cols] for row in uinv.data])
     return all(d == 1 for d in diag), sat
 
 
@@ -380,19 +402,11 @@ def restrict_isometry(isometry, basis):
     """Matrix of the isometry on an invariant sublattice basis.
 
     basis columns must span a sublattice mapped into itself; raises
-    when the restriction is not integral.
+    ValueError when the image leaves their span or the restriction is
+    not integral.
     """
-    m = isometry.matrix @ basis
-    gram_b = basis.transpose() @ basis
-    cols = []
-    for j in range(m.cols):
-        rhs = _matvec(basis.transpose(), m.col(j))
-        x = solve_rational(gram_b, rhs)
-        if any(c.denominator != 1 for c in x):
-            raise ValueError("sublattice is not invariant under the isometry")
-        cols.append([int(c) for c in x])
-    r = IntMatrix(cols).transpose()
-    if basis @ r != m:
+    r, d = solve_rational(basis, isometry.matrix @ basis)
+    if d != 1:
         raise ValueError("sublattice is not invariant under the isometry")
     return r
 

@@ -1,10 +1,12 @@
 """Exact integer and rational matrices.
 
-IntMatrix / RatMatrix are immutable.  The module functions implement
-the fraction-free kernels: Bareiss determinant, Faddeev-LeVerrier
-characteristic polynomial, Smith and Hermite normal forms with
-transforms, rational solving, and the Sturm-based signature of a
-symmetric matrix.
+IntMatrix is immutable.  A rational matrix is an IntMatrix of
+numerators with one positive common denominator (common_denominator,
+exact_quotient).  The module functions implement the fraction-free
+kernels: Bareiss determinant, Faddeev-LeVerrier characteristic
+polynomial, Smith and Hermite normal forms with transforms, one
+Bareiss solver for rational systems and inverses, and the Sturm-based
+signature of a symmetric matrix.
 """
 
 import math
@@ -112,82 +114,39 @@ class IntMatrix:
     def is_symmetric(self):
         return self.is_square() and self.data == self.transpose().data
 
-    def to_rational(self):
-        return RatMatrix(self.data)
-
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.data]})"
 
 
-class RatMatrix:
-    """Immutable matrix of Fractions (kept in lowest terms by Fraction)."""
+def common_denominator(rows):
+    """(N, d): integer rows N and the least positive d with N / d = rows.
 
-    __slots__ = ("data",)
+    Entries may be int or Fraction. This pair is the one representation
+    of a rational matrix in the package.
+    """
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    return IntMatrix([[x.numerator * (d // x.denominator) for x in row] for row in rows]), d
 
-    def __init__(self, rows):
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        if not data or not data[0]:
-            raise ValueError("matrix must be nonempty")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
-            raise ValueError("ragged rows")
-        object.__setattr__(self, "data", data)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RatMatrix is immutable")
+def exact_quotient(m, d):
+    """M / d as an IntMatrix; raises ValueError when it is not integral."""
+    if any(x % d for row in m.data for x in row):
+        raise ValueError("matrix has non-integer entries")
+    return IntMatrix([[x // d for x in row] for row in m.data])
 
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @property
-    def rows(self):
-        return len(self.data)
+def block_diagonal(a, b):
+    """The block matrix [[A, 0], [0, B]]."""
+    return IntMatrix(
+        [row + (0,) * b.cols for row in a.data] + [(0,) * a.cols + row for row in b.data]
+    )
 
-    @property
-    def cols(self):
-        return len(self.data[0])
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
-    def row(self, i):
-        return self.data[i]
-
-    def col(self, j):
-        return tuple(row[j] for row in self.data)
-
-    def is_square(self):
-        return self.rows == self.cols
-
-    def __eq__(self, other):
-        return isinstance(other, RatMatrix) and self.data == other.data
-
-    def __hash__(self):
-        return hash(self.data)
-
-    def __matmul__(self, other):
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in product")
-        bt = tuple(zip(*other.data))
-        return RatMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.data]
-        )
-
-    def transpose(self):
-        return RatMatrix(list(zip(*self.data)))
-
-    def is_integral(self):
-        return all(x.denominator == 1 for row in self.data for x in row)
-
-    def to_integer(self):
-        if not self.is_integral():
-            raise ValueError("matrix has non-integer entries")
-        return IntMatrix([[int(x) for x in row] for row in self.data])
-
-    def __repr__(self):
-        return f"RatMatrix({[[str(x) for x in r] for r in self.data]})"
+def join_columns(a, b):
+    """The matrix [A | B]: the columns of A followed by those of B."""
+    if a.rows != b.rows:
+        raise ValueError("dimension mismatch")
+    return IntMatrix([ra + rb for ra, rb in zip(a.data, b.data)])
 
 
 def det(m):
@@ -441,49 +400,46 @@ def kernel_basis(m):
 
 
 def solve_rational(a, b):
-    """Exact solution x of A x = b for invertible A; b is a sequence."""
-    n = a.rows
-    if not a.is_square():
-        raise ValueError("solve needs a square matrix")
-    if len(b) != n:
-        raise ValueError("dimension mismatch")
-    aug = [[Fraction(a[i, j]) for j in range(n)] + [Fraction(b[i])] for i in range(n)]
+    """Exact solution of A X = B over Q, as (X, d) with A @ X == d * B.
+
+    A is square or tall with independent columns; B has A's row count.
+    X is integral and d is the least positive common denominator of
+    the solution.  One fraction-free Gauss-Jordan pass (Bareiss) over
+    [A | B]: after the k-th pivot every entry is a (k+1)-minor, so each
+    division by the previous pivot is exact.  Raises ValueError when the
+    columns of A are dependent or the system has no solution.
+    """
+    m, n = a.rows, a.cols
+    rows = list(join_columns(a, b).data)
+    prev = 1
     for k in range(n):
-        piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
+        piv = next((i for i in range(k, m) if rows[i][k]), None)
         if piv is None:
             raise ValueError("singular matrix")
-        aug[k], aug[piv] = aug[piv], aug[k]
-        inv = 1 / aug[k][k]
-        aug[k] = [x * inv for x in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k]:
-                f = aug[i][k]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
-    return tuple(row[n] for row in aug)
+        rows[k], rows[piv] = rows[piv], rows[k]
+        top = rows[k]
+        p = top[k]
+        for i in range(m):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], top)]
+        prev = p
+    # pivot rows now read [d I | d A_top^-1 B_top], d = det(A_top) for the
+    # permuted top n rows; the rows below must have vanished entirely
+    if any(any(row[n:]) for row in rows[n:]):
+        raise ValueError("inconsistent system")
+    sol = [row[n:] for row in rows[:n]]
+    g = math.gcd(prev, *(x for row in sol for x in row))
+    if prev < 0:
+        g = -g
+    return IntMatrix([[x // g for x in row] for row in sol]), prev // g
 
 
 def rational_inverse(m):
-    """Exact inverse of a square matrix over Q."""
-    n = m.rows
+    """Exact inverse over Q, as (N, d) with M @ N == d * I."""
     if not m.is_square():
         raise ValueError("inverse needs a square matrix")
-    aug = [
-        [Fraction(m[i, j]) for j in range(n)]
-        + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[k], aug[piv] = aug[piv], aug[k]
-        inv = 1 / aug[k][k]
-        aug[k] = [x * inv for x in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k]:
-                f = aug[i][k]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
-    return RatMatrix([row[n:] for row in aug])
+    return solve_rational(m, IntMatrix.identity(m.rows))
 
 
 def signature_symmetric(g):

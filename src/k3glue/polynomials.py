@@ -119,6 +119,7 @@ class IntPoly:
         return f"IntPoly({list(self.coeffs)})"
 
     def __str__(self):
+        """Compact classical rendering, degree descending: X^2-3X+1."""
         if self.is_zero():
             return "0"
         terms = []
@@ -126,16 +127,15 @@ class IntPoly:
             c = self.coeffs[i]
             if c == 0:
                 continue
+            sign = "-" if c < 0 else ("+" if terms else "")
+            mag = abs(c)
             if i == 0:
-                body = str(abs(c))
+                body = str(mag)
             else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                body = f"{mag}X" if i == 1 else f"{mag}X^{i}"
-            if not terms:
-                terms.append(("-" if c < 0 else "") + body)
-            else:
-                terms.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(terms)
+                head = "" if mag == 1 else str(mag)
+                body = f"{head}X" if i == 1 else f"{head}X^{i}"
+            terms.append(sign + body)
+        return "".join(terms)
 
 
 def divmod_exact(f, g):

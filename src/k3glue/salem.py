@@ -13,8 +13,9 @@ realizability-witness reconstruction, trace by trace.
 
 Realizability rests on two external inputs and one internal one: the
 Hashimoto-Keum-Lee theorem (encoded as an axiom table, not re-derived),
-the certified trace-3 construction from k3glue.certify, and the
-squaring identity extending trace 3 to trace 7.
+the verdict of the certified trace-3 construction (passed in by the
+caller, from k3glue.certify), and the squaring identity extending
+trace 3 to trace 7.
 """
 
 import math
@@ -234,15 +235,6 @@ def theorem_b_set(bound):
 
 
 @lru_cache(maxsize=1)
-def _pipeline_certified():
-    """Whether the full trace-3 construction certifies; cached since the
-    report is deterministic."""
-    from .certify import certify
-
-    return certify().passed
-
-
-@lru_cache(maxsize=1)
 def _squaring_identity_holds():
     """charpoly(C^2) = X^2 - 7X + 1 for C the companion of X^2 - 3X + 1:
     squaring the trace-3 automorphism realizes trace 7."""
@@ -250,16 +242,16 @@ def _squaring_identity_holds():
     return charpoly(c @ c) == IntPoly([1, -7, 1])
 
 
-def _witness_for(tau):
+def _witness_for(tau, pipeline_certified):
     """Name of the realizability witness for this trace, or None.
 
     Priority: the certified pipeline (3), the squaring identity (7),
     then the Hashimoto-Keum-Lee axiom with epsilon = +1 before -1.
     """
     if tau == 3:
-        return "certified pipeline (trace 3)" if _pipeline_certified() else None
+        return "certified pipeline (trace 3)" if pipeline_certified else None
     if tau == 7:
-        if _squaring_identity_holds() and _pipeline_certified():
+        if _squaring_identity_holds() and pipeline_certified:
             return "squaring identity: trace 3 -> 7"
         return None
     up = tau + 2
@@ -307,11 +299,13 @@ class CrossValidationReport:
         return "\n".join(lines) + "\n"
 
 
-def cross_validate(bound):
+def cross_validate(bound, pipeline_certified):
     """Closed form vs necessary-condition-plus-witness, trace by trace.
 
     A row is consistent when membership in the closed-form set equals
     "some route passes the filter AND a realizability witness exists".
+    pipeline_certified is the verdict of the trace-3 certification
+    (k3glue.certify); traces 3 and 7 have a witness only when it is true.
     """
     if bound < 3:
         raise ValueError("bound must be at least 3")
@@ -320,7 +314,7 @@ def cross_validate(bound):
     mismatches = 0
     for tau in range(3, bound + 1):
         routes = admissible_values(tau)
-        witness = _witness_for(tau)
+        witness = _witness_for(tau, pipeline_certified)
         member = tau in closed
         reconstructed = bool(routes) and witness is not None
         note = "necessary passed, no witness" if routes and witness is None else ""

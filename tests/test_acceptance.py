@@ -173,8 +173,8 @@ def test_trace_set_up_to_200_is_exact():
 
 
 @gate("cross-validation")
-def test_cross_validation_up_to_200_has_no_mismatches():
-    report = cross_validate(200)
+def test_cross_validation_up_to_200_has_no_mismatches(assembly):
+    report = cross_validate(200, certify(assembly).passed)
     text = report.to_text()
     assert text.endswith("mismatches 0\n")
     for tau in (6, 11):

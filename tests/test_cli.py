@@ -131,10 +131,12 @@ def test_table1_env_digits(capsys, monkeypatch):
     code, out, _ = run(capsys, "table1")
     assert code == 0
     assert out.splitlines()[0] == "digits 6"
-    monkeypatch.setenv("K3GLUE_DIGITS", "zero")
-    code, _, err = run(capsys, "table1")
-    assert code == 2
-    assert "K3GLUE_DIGITS" in err
+    # '\u00b2' passes str.isdigit() but not int()
+    for raw in ("zero", "\u00b2", "0", "x"):
+        monkeypatch.setenv("K3GLUE_DIGITS", raw)
+        code, _, err = run(capsys, "table1")
+        assert code == 2
+        assert err.startswith("input error: K3GLUE_DIGITS=")
     # an explicit flag wins over the environment
     monkeypatch.setenv("K3GLUE_DIGITS", "9")
     code, out, _ = run(capsys, "table1", "--digits", "4")
@@ -164,6 +166,7 @@ def test_bad_flags_exit_2():
         ["trace-set"],
         ["trace-set", "--max", "-5"],
         ["table1", "--digits", "0"],
+        ["table1", "--digits", "\u00b2"],
         ["twist", "x.lat", "--poly", "a,b"],
         ["gram", "--which", "L9"],
         [],

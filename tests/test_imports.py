@@ -1,0 +1,60 @@
+"""The package's module graph, read from the source with ast.
+
+Imports inside functions count: a lazy import is still a dependency.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "k3glue"
+
+
+def import_graph():
+    """Module name -> set of package modules it imports ("" is __init__)."""
+    modules = {p.stem: p for p in SRC.glob("*.py")}
+    graph = {}
+    for name, path in modules.items():
+        deps = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                if node.level == 1:
+                    base = node.module
+                elif node.module == "k3glue" or (node.module or "").startswith("k3glue."):
+                    base = node.module.partition(".")[2]
+                else:
+                    continue
+                if base:
+                    deps.add(base)
+                else:  # `from . import x` names modules or the package itself
+                    deps.update(a.name if a.name in modules else "__init__" for a in node.names)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name == "k3glue" or alias.name.startswith("k3glue."):
+                        deps.add(alias.name.partition(".")[2] or "__init__")
+        deps.discard(name)
+        graph[name] = {d.split(".")[0] for d in deps}
+    return graph
+
+
+def test_import_graph_is_acyclic():
+    graph = import_graph()
+    assert {"salem", "certify", "matrices", "__init__"} <= graph.keys()
+    done, active = set(), []
+
+    def visit(name):
+        if name in active:
+            raise AssertionError("import cycle: " + " -> ".join(active + [name]))
+        if name in done:
+            return
+        active.append(name)
+        for dep in sorted(graph[name]):
+            visit(dep)
+        active.pop()
+        done.add(name)
+
+    for name in sorted(graph):
+        visit(name)
+
+
+def test_salem_does_not_depend_on_certify():
+    assert "certify" not in import_graph()["salem"]

@@ -14,11 +14,14 @@ import pytest
 
 from k3glue.matrices import (
     IntMatrix,
-    RatMatrix,
+    block_diagonal,
     charpoly,
+    common_denominator,
     companion,
     det,
+    exact_quotient,
     hermite_normal_form,
+    join_columns,
     kernel_basis,
     poly_of_matrix,
     rational_inverse,
@@ -311,12 +314,48 @@ def test_solve_and_inverse():
             with pytest.raises(ValueError):
                 rational_inverse(m)
             continue
-        inv = rational_inverse(m)
-        assert m.to_rational() @ inv == RatMatrix.identity(n)
-        b = [rng.randrange(-9, 10) for _ in range(n)]
-        x = solve_rational(m, b)
-        got = [sum(Fraction(m[i, j]) * x[j] for j in range(n)) for i in range(n)]
-        assert got == [Fraction(c) for c in b]
+        inv, d = rational_inverse(m)
+        assert m @ inv == d * IntMatrix.identity(n)
+        assert d > 0 and math.gcd(d, *(x for row in inv.data for x in row)) == 1
+        b = rand_matrix(rng, n, rng.randrange(1, 3))
+        x, d = solve_rational(m, b)
+        assert m @ x == d * b
+        assert d > 0 and math.gcd(d, *(c for row in x.data for c in row)) == 1
+
+
+def test_tall_systems_solve_or_raise():
+    rng = random.Random(151)
+    for _ in range(60):
+        n = rng.randrange(1, 4)
+        a = rand_matrix(rng, n + rng.randrange(1, 3), n)
+        if rational_rank(a) < n:
+            with pytest.raises(ValueError):
+                solve_rational(a, IntMatrix.zeros(a.rows, 1))
+            continue
+        x0 = rand_matrix(rng, n, 2)
+        x, d = solve_rational(a, 3 * (a @ x0))
+        assert d == 1 and x == 3 * x0
+        b = rand_matrix(rng, a.rows, 1)
+        if rational_rank(join_columns(a, b)) > n:
+            with pytest.raises(ValueError):
+                solve_rational(a, b)
+        else:
+            x, d = solve_rational(a, b)
+            assert a @ x == d * b
+
+
+def test_rational_matrix_helpers():
+    rows = [[Fraction(1, 2), 3], [Fraction(-2, 3), Fraction(0)]]
+    m, d = common_denominator(rows)
+    assert (m, d) == (IntMatrix([[3, 18], [-4, 0]]), 6)
+    assert exact_quotient(IntMatrix([[6, -12]]), 6) == IntMatrix([[1, -2]])
+    with pytest.raises(ValueError):
+        exact_quotient(m, d)
+    a, b = IntMatrix([[1, 2], [3, 4]]), IntMatrix([[5]])
+    assert block_diagonal(a, b) == IntMatrix([[1, 2, 0], [3, 4, 0], [0, 0, 5]])
+    assert join_columns(a, IntMatrix([[7], [8]])) == IntMatrix([[1, 2, 7], [3, 4, 8]])
+    with pytest.raises(ValueError):
+        join_columns(a, b)
 
 
 def test_det_multiplicative():

@@ -272,3 +272,11 @@ def test_format_decimal_matches_true_value():
         approx = Fraction(text)
         e = decimal_exponent(x)
         assert abs(approx - x) * 2 <= Fraction(10) ** (e - digits + 1)
+
+
+def test_str_is_the_compact_classical_form():
+    assert str(IntPoly()) == "0"
+    assert str(IntPoly([-7])) == "-7"
+    assert str(IntPoly([1, -3, 1])) == "X^2-3X+1"
+    assert str(IntPoly([0, 1, 0, -2])) == "-2X^3+X"
+    assert str(IntPoly([-1, 0, -1])) == "-X^2-1"

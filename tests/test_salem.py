@@ -145,7 +145,7 @@ def test_every_member_above_2_passes_the_necessary_condition():
 
 
 def test_cross_validation_to_200():
-    report = cross_validate(200)
+    report = cross_validate(200, pipeline_certified=True)
     assert report.mismatches == 0
     assert all(r.consistent for r in report.rows)
     assert report.row(3).witness == "certified pipeline (trace 3)"
@@ -161,11 +161,23 @@ def test_cross_validation_to_200():
     assert text.endswith("mismatches 0\n")
     assert "tau=6 closed_form=no routes=l2 witness=- note=necessary passed, no witness" in text
     with pytest.raises(ValueError):
-        cross_validate(2)
+        cross_validate(2, True)
+
+
+def test_uncertified_pipeline_leaves_traces_3_and_7_without_witness():
+    report = cross_validate(20, pipeline_certified=False)
+    for tau in (3, 7):
+        row = report.row(tau)
+        assert row.in_closed_form and row.routes
+        assert row.witness is None
+        assert row.note == "necessary passed, no witness"
+        assert not row.consistent
+    assert report.row(14).witness == "HKL axiom (alpha=4, epsilon=+1)"
+    assert report.mismatches == 2
 
 
 def test_row_consistency_definition():
-    report = cross_validate(60)
+    report = cross_validate(60, True)
     members = set(theorem_b_set(60))
     for row in report.rows:
         assert row.in_closed_form == (row.tau in members)
