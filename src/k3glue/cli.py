@@ -30,7 +30,7 @@ def _default_digits():
     if raw is None:
         return EMBEDDING_DIGITS
     try:
-        return _positive_int(raw)
+        return _int_at_least(1)(raw)
     except argparse.ArgumentTypeError as exc:
         raise LatticeParseError(f"K3GLUE_DIGITS={exc}") from None
 
@@ -144,11 +144,16 @@ def _cmd_gram(args):
     return EXIT_OK
 
 
-def _positive_int(text):
-    # isdigit() alone admits characters such as '\u00b2' that int() rejects
-    if not (text.isascii() and text.isdigit()) or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return int(text)
+def _int_at_least(minimum):
+    """argparse type: a decimal integer no smaller than minimum."""
+
+    def parse(text):
+        # isdigit() alone admits characters such as '\u00b2' that int() rejects
+        if not (text.isascii() and text.isdigit()) or int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {minimum}")
+        return int(text)
+
+    return parse
 
 
 def _int_list(text):
@@ -193,15 +198,15 @@ def build_parser():
     p.set_defaults(handler=_cmd_twist)
 
     p = sub.add_parser("table1", help="real-embedding signs and approximations")
-    p.add_argument("--digits", type=_positive_int, default=None)
+    p.add_argument("--digits", type=_int_at_least(1), default=None)
     p.set_defaults(handler=_cmd_table1)
 
     p = sub.add_parser("trace-set", help="the trace set up to a bound")
-    p.add_argument("--max", required=True, type=_positive_int)
+    p.add_argument("--max", required=True, type=_int_at_least(2))
     p.set_defaults(handler=_cmd_trace_set)
 
     p = sub.add_parser("cross-validate", help="closed form vs reconstruction")
-    p.add_argument("--max", required=True, type=_positive_int)
+    p.add_argument("--max", required=True, type=_int_at_least(3))
     p.set_defaults(handler=_cmd_cross_validate)
 
     p = sub.add_parser("gram", help="emit an exact Gram matrix document")

@@ -410,12 +410,3 @@ def restrict_isometry(isometry, basis):
         raise ValueError("sublattice is not invariant under the isometry")
     return r
 
-
-def sublattice_index(lattice, sub):
-    """Index of the span of sub's columns, when finite."""
-    if sub.rows != sub.cols:
-        raise ValueError("index needs a full-rank square generator matrix")
-    d = det(sub)
-    if d == 0:
-        raise ValueError("generators are degenerate")
-    return abs(d)

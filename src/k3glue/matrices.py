@@ -5,21 +5,14 @@ numerators with one positive common denominator (common_denominator,
 exact_quotient).  The module functions implement the fraction-free
 kernels: Bareiss determinant, Faddeev-LeVerrier characteristic
 polynomial, Smith and Hermite normal forms with transforms, one
-Bareiss solver for rational systems and inverses, and the Sturm-based
-signature of a symmetric matrix.
+Bareiss solver for rational systems and inverses, and the signature of
+a symmetric matrix by fraction-free congruence elimination.
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .polynomials import (
-    IntPoly,
-    cauchy_root_bound,
-    count_real_roots,
-    squarefree_decomposition,
-    sturm_sequence,
-)
+from .polynomials import IntPoly
 
 
 class IntMatrix:
@@ -445,22 +438,41 @@ def rational_inverse(m):
 def signature_symmetric(g):
     """Signature (n_plus, n_minus) of a nondegenerate symmetric matrix.
 
-    Exact: square-free decomposition of the characteristic polynomial,
-    then Sturm counts of positive and negative roots per factor,
-    weighted by multiplicity.
+    Fraction-free symmetric (congruence) elimination, the Bareiss loop
+    of det kept symmetric: the k-th pivot is the k-th leading principal
+    minor D_k of a matrix congruent to G, so by Sylvester's law of
+    inertia n_plus counts the k where D_k and D_(k-1) share a sign
+    (D_0 = 1).  A zero pivot takes a symmetric swap with a later nonzero
+    diagonal entry; when every remaining diagonal entry is zero,
+    e_k += e_j for some a_kj != 0 makes the pivot 2 a_kj.  Raises
+    ValueError on non-symmetric or singular input.
     """
     if not g.is_symmetric():
         raise ValueError("signature needs a symmetric matrix")
-    p = charpoly(g)
-    if p.coeffs[0] == 0:
-        raise ValueError("singular matrix has no signature")
-    n_plus = n_minus = 0
-    zero = Fraction(0)
-    for factor, mult in squarefree_decomposition(p):
-        bound = Fraction(cauchy_root_bound(factor))
-        seq = sturm_sequence(factor)
-        n_plus += mult * count_real_roots(factor, zero, bound, seq)
-        n_minus += mult * count_real_roots(factor, -bound, zero, seq)
-    if n_plus + n_minus != g.rows:
-        raise AssertionError("eigenvalue counts do not sum to the dimension")
-    return (n_plus, n_minus)
+    n = g.rows
+    a = [list(row) for row in g.data]
+    n_plus = 0
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            j = next((j for j in range(k + 1, n) if a[j][j]), None)
+            if j is not None:
+                a[k], a[j] = a[j], a[k]
+                for row in a:
+                    row[k], row[j] = row[j], row[k]
+            else:
+                j = next((j for j in range(k + 1, n) if a[k][j]), None)
+                if j is None:
+                    raise ValueError("singular matrix has no signature")
+                a[k] = [x + y for x, y in zip(a[k], a[j])]
+                for row in a:
+                    row[k] += row[j]
+        p = a[k][k]
+        top = a[k][k + 1:]
+        for i in range(k + 1, n):
+            f = a[i][k]
+            a[i][k + 1:] = [(p * x - f * y) // prev for x, y in zip(a[i][k + 1:], top)]
+        if (p > 0) == (prev > 0):
+            n_plus += 1
+        prev = p
+    return (n_plus, n - n_plus)

@@ -3,7 +3,8 @@
 A candidate characteristic polynomial has the shape
 F(X) = (X^2 - tau X + 1) * Phi_l(X)^m with m * phi(l) = 20.  This
 module enumerates the sixteen possible (l, m), applies the square
-tests at X = 1 and X = -1, derives the closed-form trace set
+tests to F(1) and F(-1) read off the factorization, derives the
+closed-form trace set
 
     {2} u {alpha^2 - 2 : alpha >= 3}
         u {alpha^2 + 2 : alpha >= 1, alpha not excluded},
@@ -94,12 +95,6 @@ class TraceCandidate:
         s = self.tau + 2 * eps
         return math.isqrt(s) if is_perfect_square(s) else None
 
-    def salem_factor(self):
-        return IntPoly([1, -self.tau, 1])
-
-    def full_polynomial(self):
-        return self.salem_factor() * cyclotomic_poly(self.l) ** self.m
-
 
 @dataclass(frozen=True)
 class SquareFilterResult:
@@ -114,31 +109,16 @@ def square_condition_filter(candidate):
     """Square tests on F at X = 1 and X = -1.
 
     Passes iff |F(1)|, |F(-1)|, and (-1)^11 F(1) F(-1) are all perfect
-    squares; zero counts as a square.
+    squares; zero counts as a square.  F is never expanded:
+    F(1) = (2 - tau) Phi_l(1)^m and F(-1) = (2 + tau) Phi_l(-1)^m.
     """
-    f = candidate.full_polynomial()
-    at_1, at_minus_1 = f(1), f(-1)
+    phi = cyclotomic_poly(candidate.l)
+    at_1 = (2 - candidate.tau) * phi(1) ** candidate.m
+    at_minus_1 = (2 + candidate.tau) * phi(-1) ** candidate.m
     signed = -at_1 * at_minus_1  # (-1)^11, 11 = 22/2
     passed = (
         is_perfect_square(abs(at_1))
         and is_perfect_square(abs(at_minus_1))
-        and is_perfect_square(signed)
-    )
-    return SquareFilterResult(candidate, at_1, at_minus_1, signed, passed)
-
-
-def square_condition_closed_form(candidate):
-    """The same predicate through |F(1)| = (tau-2)|Phi_l(1)|^m and
-    |F(-1)| = (tau+2)|Phi_l(-1)|^m, without building F.  Kept as an
-    independent code path; the test suite pins the two together."""
-    phi = cyclotomic_poly(candidate.l)
-    p1, pm1 = phi(1), phi(-1)
-    at_1 = (2 - candidate.tau) * p1**candidate.m
-    at_minus_1 = (2 + candidate.tau) * pm1**candidate.m
-    signed = (candidate.tau**2 - 4) * (p1 * pm1) ** candidate.m
-    passed = (
-        is_perfect_square((candidate.tau - 2) * abs(p1) ** candidate.m)
-        and is_perfect_square((candidate.tau + 2) * abs(pm1) ** candidate.m)
         and is_perfect_square(signed)
     )
     return SquareFilterResult(candidate, at_1, at_minus_1, signed, passed)
@@ -279,7 +259,11 @@ class CrossValidationReport:
     mismatches: int
 
     def row(self, tau):
-        return self.rows[tau - self.rows[0].tau]
+        """The row of this trace; KeyError outside the report's range."""
+        first = self.rows[0].tau
+        if not first <= tau < first + len(self.rows):
+            raise KeyError(tau)
+        return self.rows[tau - first]
 
     def to_text(self):
         lines = []

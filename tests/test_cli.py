@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from k3glue import cli
 from k3glue.cli import main
 
 L1_TEXT = "rank 2\ngram\n6002 3001\n3001 -6002\nisometry\n1 1\n1 2\n"
@@ -36,6 +37,7 @@ def test_trace_set(capsys):
     assert out == (
         "2 3 7 14 18 23 34 38 47 62 66 79 83 98 102 119 123 142 146 167 194 198\n"
     )
+    assert run(capsys, "trace-set", "--max", "2") == (0, "2\n", "")
 
 
 def test_certify_machine_output(capsys):
@@ -159,12 +161,16 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     assert code == 2
 
 
-def test_bad_flags_exit_2():
-    # argparse exits through SystemExit with code 2
+def test_bad_flags_exit_2(monkeypatch):
+    # argparse exits through SystemExit with code 2, before any handler:
+    # a --max below cross-validate's minimum must not reach certify()
+    monkeypatch.setattr(cli, "certify", None)
     for argv in (
         ["no-such-command"],
         ["trace-set"],
         ["trace-set", "--max", "-5"],
+        ["trace-set", "--max", "1"],
+        ["cross-validate", "--max", "2"],
         ["table1", "--digits", "0"],
         ["table1", "--digits", "\u00b2"],
         ["twist", "x.lat", "--poly", "a,b"],

@@ -1,12 +1,17 @@
-"""The package's module graph, read from the source with ast.
+"""The package's module graph, read from the source with ast, and the
+names the benchmark's tracer looks up in it.
 
 Imports inside functions count: a lazy import is still a dependency.
 """
 
 import ast
+import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "k3glue"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "k3glue"
 
 
 def import_graph():
@@ -58,3 +63,16 @@ def test_import_graph_is_acyclic():
 
 def test_salem_does_not_depend_on_certify():
     assert "certify" not in import_graph()["salem"]
+
+
+def test_every_traced_layer_resolves_to_a_function():
+    # perfbench/tracer.py wraps each LAYERS entry through getattr on
+    # k3glue.<module>; a deleted or renamed function would break it
+    spec = importlib.util.spec_from_file_location("perfbench_layers", ROOT / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    assert layers.LAYERS
+    for mod, names in layers.LAYERS.items():
+        module = importlib.import_module(f"k3glue.{mod}")
+        for name in names:
+            assert inspect.isfunction(getattr(module, name, None)), f"k3glue.{mod}.{name}"

@@ -14,7 +14,6 @@ from k3glue.lattices import (
     is_primitive,
     orthogonal_complement,
     restrict_isometry,
-    sublattice_index,
     sylow_decomposition,
     twist,
 )
@@ -284,11 +283,3 @@ def test_restrict_isometry():
     assert r == IntMatrix([[-1]])
     with pytest.raises(ValueError):
         restrict_isometry(swap, IntMatrix([[1], [0]]))
-
-
-def test_sublattice_index():
-    lat = Lattice([[2, 0], [0, 2]])
-    assert sublattice_index(lat, IntMatrix([[2, 0], [0, 1]])) == 2
-    assert sublattice_index(lat, IntMatrix([[1, 0], [0, 1]])) == 1
-    with pytest.raises(ValueError):
-        sublattice_index(lat, IntMatrix([[1, 1], [1, 1]]))

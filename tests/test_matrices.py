@@ -3,7 +3,8 @@
 The random SNF / HNF / charpoly / signature loops below total well over
 a thousand cases; every property is checked against either an algebraic
 identity or an independently coded oracle (Q-rank by Gaussian
-elimination, determinant interpolation, congruence diagonalization).
+elimination, determinant interpolation, Sturm counts on the
+characteristic polynomial, signatures known by construction).
 """
 
 import math
@@ -29,7 +30,13 @@ from k3glue.matrices import (
     smith_normal_form,
     solve_rational,
 )
-from k3glue.polynomials import IntPoly
+from k3glue.polynomials import (
+    IntPoly,
+    cauchy_root_bound,
+    count_real_roots,
+    squarefree_decomposition,
+    sturm_sequence,
+)
 
 SNF_CASES = 500
 HNF_CASES = 300
@@ -228,46 +235,21 @@ def test_companion_inverts_charpoly():
         companion(IntPoly([2, 3]))  # not monic
 
 
-def congruence_signature(m):
-    """Oracle: symmetric Gaussian congruence diagonalization over Q."""
-    n = m.rows
-    a = [[Fraction(m[i, j]) for j in range(n)] for i in range(n)]
-    pos = neg = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
-            if swap is not None:
-                for j in range(n):
-                    a[k][j], a[swap][j] = a[swap][j], a[k][j]
-                for i in range(n):
-                    a[i][k], a[i][swap] = a[i][swap], a[i][k]
-            else:
-                off = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-                if off is None:
-                    continue  # zero row: contributes no sign
-                for j in range(n):
-                    a[k][j] += a[off][j]
-                for i in range(n):
-                    a[i][k] += a[i][off]
-        pivot = a[k][k]
-        if pivot > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, n):
-            if a[i][k]:
-                f = a[i][k] / pivot
-                for j in range(n):
-                    a[i][j] -= f * a[k][j]
-        for j in range(k + 1, n):
-            if a[k][j]:
-                f = a[k][j] / pivot
-                for i in range(n):
-                    a[i][j] -= f * a[i][k]
-    return (pos, neg)
+def sturm_signature(m):
+    """Oracle: count the positive and negative roots of charpoly(M) by
+    square-free decomposition and Sturm sequences on (0, B] and (-B, 0],
+    B the Cauchy bound, weighted by multiplicity."""
+    n_plus = n_minus = 0
+    zero = Fraction(0)
+    for factor, mult in squarefree_decomposition(charpoly(m)):
+        bound = Fraction(cauchy_root_bound(factor))
+        seq = sturm_sequence(factor)
+        n_plus += mult * count_real_roots(factor, zero, bound, seq)
+        n_minus += mult * count_real_roots(factor, -bound, zero, seq)
+    return (n_plus, n_minus)
 
 
-def test_signature_random_against_congruence():
+def test_signature_random_against_sturm():
     rng = random.Random(131)
     done = 0
     while done < SIGNATURE_CASES:
@@ -276,7 +258,7 @@ def test_signature_random_against_congruence():
         m = base + base.transpose()
         if det(m) == 0:
             continue
-        assert signature_symmetric(m) == congruence_signature(m)
+        assert signature_symmetric(m) == sturm_signature(m)
         done += 1
 
 
@@ -284,10 +266,69 @@ def test_signature_known_values():
     assert signature_symmetric(IntMatrix.identity(4)) == (4, 0)
     assert signature_symmetric(-1 * IntMatrix.identity(3)) == (0, 3)
     assert signature_symmetric(IntMatrix([[0, 1], [1, 0]])) == (1, 1)
+    # zero diagonal throughout: the pivot comes from e_1 += e_2
+    assert signature_symmetric(IntMatrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])) == (1, 2)
     with pytest.raises(ValueError):
         signature_symmetric(IntMatrix([[1, 2], [3, 4]]))
     with pytest.raises(ValueError):
         signature_symmetric(IntMatrix([[1, 1], [1, 1]]))
+    with pytest.raises(ValueError):
+        signature_symmetric(IntMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 0]]))
+
+
+#: (Gram block, signature): hyperbolic plane H, A2 and -A2
+PLANES = (
+    ([[0, 1], [1, 0]], (1, 1)),
+    ([[2, -1], [-1, 2]], (2, 0)),
+    ([[-2, 1], [1, -2]], (0, 2)),
+)
+
+
+def known_inertia_blocks(rng, rank, only_hyperbolic):
+    """Block-diagonal D of the given rank from H, +-A2 and +-[2p]
+    (p = 1 is +-A1), with the signature its blocks add up to."""
+    d, n_plus, n_minus = None, 0, 0
+    while d is None or d.rows < rank:
+        room = rank - (d.rows if d else 0)
+        if only_hyperbolic:
+            block, (p, q) = PLANES[0]
+        elif room > 1 and rng.random() < 0.7:
+            block, (p, q) = rng.choice(PLANES)
+        else:
+            c = rng.choice((2, -2)) * rng.randrange(1, 40)
+            block, (p, q) = [[c]], ((1, 0) if c > 0 else (0, 1))
+        d = IntMatrix(block) if d is None else block_diagonal(d, IntMatrix(block))
+        n_plus, n_minus = n_plus + p, n_minus + q
+    return d, (n_plus, n_minus)
+
+
+def random_unimodular(rng, n):
+    """Unit lower times unit upper triangular: det 1, entries small."""
+    def unit_lower():
+        return IntMatrix(
+            [[rng.choice((-1, 0, 0, 0, 1)) if i > j else int(i == j) for j in range(n)] for i in range(n)]
+        )
+
+    return unit_lower() @ unit_lower().transpose()
+
+
+def test_signature_known_inertia_at_ranks_24_to_44():
+    # G = U^T D U with U unimodular has the signature of D's blocks
+    rng = random.Random(157)
+    for rank in range(24, 45, 4):
+        for only_hyperbolic in (False, True):
+            d, expected = known_inertia_blocks(rng, rank, only_hyperbolic)
+            if only_hyperbolic:
+                # a permutation keeps the diagonal zero, so the
+                # elimination must take its pivots from e_k += e_j
+                perm = rng.sample(range(rank), rank)
+                u = IntMatrix([[int(perm[i] == j) for j in range(rank)] for i in range(rank)])
+            else:
+                u = random_unimodular(rng, rank)
+            g = u.transpose() @ d @ u
+            if only_hyperbolic:
+                assert all(g[i, i] == 0 for i in range(rank))
+            assert signature_symmetric(g) == expected
 
 
 def test_kernel_basis():

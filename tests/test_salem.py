@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from k3glue.cyclotomic import cyclotomic_poly
 from k3glue.matrices import charpoly, companion
 from k3glue.polynomials import IntPoly
 from k3glue.salem import (
@@ -14,7 +15,6 @@ from k3glue.salem import (
     hkl_realizable,
     lemma_ruling_out,
     salem_value,
-    square_condition_closed_form,
     square_condition_filter,
     theorem_b_set,
 )
@@ -51,6 +51,11 @@ def test_trace_candidate_validation():
     assert TraceCandidate(5, 3, 10).epsilon is None
 
 
+def full_polynomial(candidate):
+    """F = (X^2 - tau X + 1) * Phi_l^m, expanded."""
+    return IntPoly([1, -candidate.tau, 1]) * cyclotomic_poly(candidate.l) ** candidate.m
+
+
 def test_the_pipeline_shape_passes_the_filter():
     c = TraceCandidate(3, 50, 1)
     r = square_condition_filter(c)
@@ -58,20 +63,28 @@ def test_the_pipeline_shape_passes_the_filter():
     assert r.at_minus_1 == 25
     assert r.signed_product == 25
     assert r.passed
-    assert c.full_polynomial().degree == 22
-    assert c.full_polynomial().is_self_reciprocal()
+    f = full_polynomial(c)
+    assert f.degree == 22
+    assert f.is_self_reciprocal()
 
 
 def test_filter_and_closed_form_agree():
+    # oracle: evaluate the expanded degree-22 F at X = 1 and X = -1
     for tau in range(3, 101):
         for l, m in candidate_pairs():
-            a = square_condition_filter(TraceCandidate(tau, l, m))
-            b = square_condition_closed_form(TraceCandidate(tau, l, m))
-            assert (a.at_1, a.at_minus_1, a.signed_product, a.passed) == (
-                b.at_1,
-                b.at_minus_1,
-                b.signed_product,
-                b.passed,
+            c = TraceCandidate(tau, l, m)
+            r = square_condition_filter(c)
+            f = full_polynomial(c)
+            at_1, at_minus_1 = f(1), f(-1)
+            signed = -at_1 * at_minus_1
+            passed = all(
+                x >= 0 and math.isqrt(x) ** 2 == x for x in (abs(at_1), abs(at_minus_1), signed)
+            )
+            assert (r.at_1, r.at_minus_1, r.signed_product, r.passed) == (
+                at_1,
+                at_minus_1,
+                signed,
+                passed,
             )
 
 
@@ -174,6 +187,14 @@ def test_uncertified_pipeline_leaves_traces_3_and_7_without_witness():
         assert not row.consistent
     assert report.row(14).witness == "HKL axiom (alpha=4, epsilon=+1)"
     assert report.mismatches == 2
+
+
+def test_row_outside_the_report_raises_key_error():
+    report = cross_validate(20, True)
+    assert report.row(3).tau == 3 and report.row(20).tau == 20
+    for tau in (-1, 0, 2, 21, 40):
+        with pytest.raises(KeyError):
+            report.row(tau)
 
 
 def test_row_consistency_definition():
