@@ -22,7 +22,9 @@ CERTIFY_SHA256 = "d60e6e75608999241b58e14a989d65a9ce2419b5804f4d1bdc9f2e0378f8ca
 CASES = {
     "certify_k3_machine": ["certify-k3", "--machine"],
     "gram_k3": ["gram", "--which", "K3"],
+    "gram_l2": ["gram", "--which", "L2"],
     "table1": ["table1"],
+    "table1_digits_30": ["table1", "--digits", "30"],
     "cross_validate_200": ["cross-validate", "--max", "200"],
     "lattice_info_l": ["lattice-info", "{golden}/pair_l.lat"],
     "lattice_info_l_neg": ["lattice-info", "{golden}/pair_l_neg.lat"],
