@@ -20,7 +20,7 @@ from .cyclotomic import (
     CycloField,
     build_trace_form_lattice,
     cyclotomic_poly,
-    dpsi_at,
+    dpsi_quotient,
     embedding_labels,
     norm_real_subfield,
     real_embedding_signs,
@@ -386,15 +386,14 @@ def certify(assembly=None):
     run("L2.glue.5part.action", lambda: five_action(l2, t2))
     run("L2.glue.3001part.action", lambda: big_prime_action(l2, t2))
 
-    def quotient_element():
-        y = field.zeta_power(1) + field.zeta_power(-1)
-        return real_subfield(a * dpsi_at(field, y).inverse())
+    def quotient():
+        return once("quotient", lambda: real_subfield(dpsi_quotient(a)))
+
+    def sign_rows():
+        return once("rows", lambda: real_embedding_signs(quotient(), EMBEDDING_DIGITS))
 
     def sign_pattern():
-        rows = once(
-            "rows",
-            lambda: real_embedding_signs(quotient_element(), EMBEDDING_DIGITS),
-        )
+        rows = sign_rows()
         positive = tuple(k for k, sign, _ in rows if sign > 0)
         pattern = "".join("+" if sign > 0 else "-" for _, sign, _ in rows)
         return positive == (7,), f"signs={pattern} positive_labels={_vec(positive)}"
@@ -402,18 +401,13 @@ def certify(assembly=None):
     run("L2.embeddings.sign_pattern", sign_pattern)
 
     def embedding_values():
-        pairs = real_embedding_values(quotient_element(), Fraction(1, 10**9))
+        pairs = real_embedding_values(quotient(), Fraction(1, 10**9))
         ok = True
         for (_, (lo, hi)), text in zip(pairs, EMBEDDING_REFERENCE):
             target = Fraction(text)
             tol = _print_tolerance(text)
             ok = ok and target - tol <= lo and hi <= target + tol
-        printed = ",".join(
-            text for _, _, text in once(
-                "rows",
-                lambda: real_embedding_signs(quotient_element(), EMBEDDING_DIGITS),
-            )
-        )
+        printed = ",".join(text for _, _, text in sign_rows())
         return ok, (
             f"digits={EMBEDDING_DIGITS} computed={printed}"
             f" reference={','.join(EMBEDDING_REFERENCE)} tolerance=1ulp"

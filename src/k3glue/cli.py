@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from .certify import EMBEDDING_DIGITS, assemble_k3, build_l1, build_l2, certify
-from .cyclotomic import CycloField, dpsi_at, real_embedding_signs, real_subfield, twist_element_parts
+from .cyclotomic import CycloField, dpsi_quotient, real_embedding_signs, real_subfield, twist_element_parts
 from .gluing import NoGlueMapError, extend_isometry, find_glue_map, glue
 from .lattices import check_isometry, glue_group, induced_glue_action, twist
 from .latticeio import LatticeParseError, format_lattice, read_lattice_file
@@ -108,11 +108,8 @@ def _cmd_twist(args):
 
 def _cmd_table1(args):
     digits = args.digits if args.digits is not None else _default_digits()
-    field = CycloField(50)
-    a = twist_element_parts(field)["a"]
-    y = field.zeta_power(1) + field.zeta_power(-1)
-    element = real_subfield(a * dpsi_at(field, y).inverse())
-    rows = real_embedding_signs(element, digits)
+    a = twist_element_parts(CycloField(50))["a"]
+    rows = real_embedding_signs(real_subfield(dpsi_quotient(a)), digits)
     print(f"digits {digits}")
     for label, sign, text in rows:
         print(f"label {label} sign {'+' if sign > 0 else '-'} value {text}")

@@ -1,14 +1,20 @@
 """Exact arithmetic in Q(zeta_n) and the real subfield Q(zeta_n + zeta_n^-1):
 traces, norms, the involution, trace-form lattices with their
 multiplication-by-zeta isometries, real-embedding sign data, and the
-explicit conductor-50 twisting element used by the gluing pipeline."""
+explicit conductor-50 twisting element used by the gluing pipeline.
+
+Elements use the package's one rational form, as matrices do: integer
+numerators over one positive denominator, in lowest terms. Reduction
+mod Phi_n works on the numerators alone, and every real-embedding
+value comes from one refinement path over psi_n's cached root
+intervals."""
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .lattices import Lattice, check_isometry
-from .matrices import IntMatrix, common_denominator, companion, solve_rational
+from .matrices import IntMatrix, companion, solve_rational
 from .polynomials import (
     IntPoly,
     div_exact,
@@ -66,64 +72,72 @@ class CycloField:
         self.n = n
         self.phi_n = cyclotomic_poly(n)
         self.degree = self.phi_n.degree
-        self._psi = None
-        self._powers = None
-        self._traces = None
 
-    @property
+    @cached_property
     def psi_n(self):
-        if self._psi is None:
-            self._psi = trace_polynomial(self)
-        return self._psi
+        return trace_polynomial(self)
 
-    def _power_table(self):
+    @cached_property
+    def psi_roots(self):
+        """Isolating intervals of the roots of psi_n, in embedding-label
+        order: label k pairs with the k-th largest root, because 2cos is
+        decreasing on (0, pi)."""
+        psi = self.psi_n
+        roots = real_root_isolation(psi)
+        if len(roots) != psi.degree:
+            raise ValueError("trace polynomial is not totally real")
+        return tuple(reversed(roots))
+
+    @cached_property
+    def _powers(self):
         # X^e mod Phi_n for e = 0..n-1, as integer coefficient tuples
-        if self._powers is None:
-            d = self.degree
-            table = [tuple(1 if i == e else 0 for i in range(d)) for e in range(d)]
-            cur = list(table[-1])
-            reducer = tuple(-c for c in self.phi_n.coeffs[:d])
-            for _ in range(d, self.n):
-                lead = cur[-1]
-                cur = [0] + cur[:-1]
-                for i in range(d):
-                    cur[i] += lead * reducer[i]
-                table.append(tuple(cur))
-            self._powers = tuple(table)
-        return self._powers
+        d = self.degree
+        table = [tuple(1 if i == e else 0 for i in range(d)) for e in range(d)]
+        cur = list(table[-1])
+        reducer = tuple(-c for c in self.phi_n.coeffs[:d])
+        for _ in range(d, self.n):
+            lead = cur[-1]
+            cur = [0] + cur[:-1]
+            for i in range(d):
+                cur[i] += lead * reducer[i]
+            table.append(tuple(cur))
+        return tuple(table)
 
-    def _trace_table(self):
+    @cached_property
+    def _traces(self):
         # power sums of the roots of Phi_n via Newton's identities,
         # extended past the degree by the coefficient recurrence
-        if self._traces is None:
-            a = self.phi_n.coeffs
-            d = self.degree
-            p = [d]
-            for k in range(1, self.n):
-                s = -k * a[d - k] if k <= d else 0
-                for i in range(1, min(k, d + 1)):
-                    s -= a[d - i] * p[k - i]
-                p.append(s)
-            self._traces = tuple(p)
-        return self._traces
-
-    def element(self, coeffs):
-        """Element from power-basis coefficients; longer inputs are reduced."""
-        coeffs = [Fraction(c) for c in coeffs]
+        a = self.phi_n.coeffs
         d = self.degree
-        if len(coeffs) > d:
-            # X^n = 1 in Q[X]/(Phi_n), so exponents wrap mod n
-            table = self._power_table()
-            acc = [Fraction(0)] * d
-            for e, c in enumerate(coeffs):
-                if c:
-                    row = table[e % self.n]
+        p = [d]
+        for k in range(1, self.n):
+            s = -k * a[d - k] if k <= d else 0
+            for i in range(1, min(k, d + 1)):
+                s -= a[d - i] * p[k - i]
+            p.append(s)
+        return tuple(p)
+
+    def _reduce(self, nums, den):
+        """The element sum_e nums[e] X^e / den; X^e wraps mod n through
+        the power table, since X^n = 1 in Q[X]/(Phi_n)."""
+        n, d, table = self.n, self.degree, self._powers
+        acc = [0] * d
+        for e, c in enumerate(nums):
+            if c:
+                e %= n
+                if e < d:
+                    acc[e] += c
+                else:
+                    row = table[e]
                     for i in range(d):
                         acc[i] += c * row[i]
-            coeffs = acc
-        else:
-            coeffs = coeffs + [Fraction(0)] * (d - len(coeffs))
-        return CycloElement(self, coeffs)
+        return CycloElement(self, acc, den)
+
+    def element(self, coeffs):
+        """Element from rational power-basis coefficients; longer inputs are reduced."""
+        coeffs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        return self._reduce([c.numerator * (den // c.denominator) for c in coeffs], den)
 
     def zero(self):
         return self.element([])
@@ -132,24 +146,54 @@ class CycloField:
         return self.element([1])
 
     def zeta_power(self, k):
-        table = self._power_table()
-        return CycloElement(self, [Fraction(c) for c in table[k % self.n]])
+        return CycloElement(self, self._powers[k % self.n], 1)
 
     def __repr__(self):
         return f"CycloField({self.n})"
 
 
-class CycloElement:
-    """Residue mod Phi_n with rational power-basis coefficients."""
+class _Numerators:
+    """Rational coefficient vector stored as integer numerators over one
+    positive denominator, in lowest terms: den > 0 and
+    gcd(den, *nums) == 1, so equal values have equal representations."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "nums", "den")
 
-    def __init__(self, field, coeffs):
+    def __init__(self, field, nums, den):
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "nums", tuple(c // g for c in nums))
+        object.__setattr__(self, "den", den // g)
 
     def __setattr__(self, name, value):
-        raise AttributeError("CycloElement is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def coeffs(self):
+        """Read-only view of the coefficients as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and other.field.n == self.field.n
+            and other.nums == self.nums
+            and other.den == self.den
+        )
+
+    def __hash__(self):
+        return hash((self.field.n, self.nums, self.den))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.field.n}, {list(self.nums)}, {self.den})"
+
+
+class CycloElement(_Numerators):
+    """Residue mod Phi_n: power-basis numerators over one denominator."""
+
+    __slots__ = ()
 
     def _coerce(self, other):
         if isinstance(other, CycloElement):
@@ -161,22 +205,21 @@ class CycloElement:
         return None
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        return other is not None and self.coeffs == other.coeffs
+        return super().__eq__(self._coerce(other))
 
-    def __hash__(self):
-        return hash((self.field.n, self.coeffs))
+    __hash__ = _Numerators.__hash__
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycloElement(self.field, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        p, q = self.den, other.den
+        return CycloElement(self.field, [a * q + b * p for a, b in zip(self.nums, other.nums)], p * q)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloElement(self.field, [-a for a in self.coeffs])
+        return CycloElement(self.field, [-a for a in self.nums], self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -191,122 +234,65 @@ class CycloElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        d = self.field.degree
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
+        conv = [0] * (2 * self.field.degree - 1)
+        for i, a in enumerate(self.nums):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        conv[i + j] += a * b
-        table = self.field._power_table()
-        acc = list(conv[:d])
-        for e in range(d, 2 * d - 1):
-            c = conv[e]
-            if c:
-                row = table[e]
-                for i in range(d):
-                    acc[i] += c * row[i]
-        return CycloElement(self.field, acc)
+                for j, b in enumerate(other.nums):
+                    conv[i + j] += a * b
+        return self.field._reduce(conv, self.den * other.den)
 
     __rmul__ = __mul__
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_integral(self):
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     def conj(self):
         """Image under the involution zeta -> zeta^-1."""
-        table = self.field._power_table()
-        n, d = self.field.n, self.field.degree
-        acc = [Fraction(0)] * d
-        for i, c in enumerate(self.coeffs):
-            if c:
-                row = table[(n - i) % n]
-                for k in range(d):
-                    acc[k] += c * row[k]
-        return CycloElement(self.field, acc)
+        n = self.field.n
+        conv = [0] * n
+        for i, c in enumerate(self.nums):
+            conv[-i % n] = c
+        return self.field._reduce(conv, self.den)
 
     def inverse(self):
-        """Inverse mod Phi_n: solve (multiplication by self) x = 1."""
+        """Inverse mod Phi_n: solve (multiplication by nums) x = den."""
         if self.is_zero():
             raise ZeroDivisionError("inversion of zero")
-        num, q = common_denominator([self.coeffs])
-        nums = num.row(0)
-        table = self.field._power_table()
+        table = self.field._powers
         n, d = self.field.n, self.field.degree
-        # entry (k, j): the X^k coefficient of num * X^j mod Phi_n
+        # entry (k, j): the X^k coefficient of nums * X^j mod Phi_n
         mult = IntMatrix(
-            [[sum(c * table[(i + j) % n][k] for i, c in enumerate(nums)) for j in range(d)]
+            [[sum(c * table[(i + j) % n][k] for i, c in enumerate(self.nums)) for j in range(d)]
              for k in range(d)]
         )
-        x, den = solve_rational(mult, IntMatrix([[q]] + [[0]] * (d - 1)))
-        return CycloElement(self.field, [Fraction(c, den) for c in x.col(0)])
+        x, den = solve_rational(mult, IntMatrix([[self.den]] + [[0]] * (d - 1)))
+        return CycloElement(self.field, x.col(0), den)
 
     def trace(self):
         """Tr over Q: linear extension of the cached monomial power sums."""
-        traces = self.field._trace_table()
-        return sum((c * traces[i] for i, c in enumerate(self.coeffs)), Fraction(0))
+        return Fraction(sum(c * t for c, t in zip(self.nums, self.field._traces)), self.den)
 
     def norm(self):
         """Norm over Q via the resultant with Phi_n."""
         if self.is_zero():
             return Fraction(0)
-        q = math.lcm(*(c.denominator for c in self.coeffs))
-        rep = IntPoly([int(c * q) for c in self.coeffs])
-        return Fraction(resultant(self.field.phi_n, rep), q**self.field.degree)
-
-    def __repr__(self):
-        return f"CycloElement({self.field.n}, {list(self.coeffs)})"
+        return Fraction(resultant(self.field.phi_n, IntPoly(self.nums)), self.den**self.field.degree)
 
 
-class RealSubfieldElement:
-    """Element of Q(zeta + zeta^-1), coefficients in the basis (zeta+zeta^-1)^j."""
+class RealSubfieldElement(_Numerators):
+    """Element of Q(zeta + zeta^-1): numerators over one denominator on
+    the basis (zeta+zeta^-1)^j."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, field, coeffs):
+    def __init__(self, field, nums, den):
         m = field.degree // 2
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) > m:
+        if len(nums) > m:
             raise ValueError("coefficient vector exceeds the subfield degree")
-        coeffs += [Fraction(0)] * (m - len(coeffs))
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RealSubfieldElement is immutable")
-
-    def to_cyclotomic(self):
-        y = self.field.zeta_power(1) + self.field.zeta_power(-1)
-        acc = self.field.zero()
-        power = self.field.one()
-        for c in self.coeffs:
-            acc = acc + c * power
-            power = power * y
-        return acc
-
-    def is_constant(self):
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def numerator_poly(self):
-        """(integer polynomial, positive denominator) clearing the coefficients."""
-        q = math.lcm(*(c.denominator for c in self.coeffs))
-        return IntPoly([int(c * q) for c in self.coeffs]), q
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RealSubfieldElement)
-            and other.field.n == self.field.n
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field.n, self.coeffs))
-
-    def __repr__(self):
-        return f"RealSubfieldElement({self.field.n}, {list(self.coeffs)})"
+        super().__init__(field, list(nums) + [0] * (m - len(nums)), den)
 
 
 def real_subfield(e):
@@ -314,27 +300,24 @@ def real_subfield(e):
     field = e.field
     if e.conj() != e:
         raise ValueError("element is not fixed by the involution")
-    m = field.degree // 2
     y = field.zeta_power(1) + field.zeta_power(-1)
     cols = []
     power = field.one()
-    for _ in range(m):
-        cols.append(power.coeffs)
+    for _ in range(field.degree // 2):
+        cols.append(power.nums)
         power = power * y
-    rhs, q = common_denominator([e.coeffs])
     # the powers of y are integral; the tall solve raises when e leaves their span
-    x, den = solve_rational(IntMatrix(cols).transpose(), rhs.transpose())
-    return RealSubfieldElement(field, [Fraction(c, den * q) for c in x.col(0)])
+    x, den = solve_rational(IntMatrix(cols).transpose(), IntMatrix([[c] for c in e.nums]))
+    return RealSubfieldElement(field, x.col(0), den * e.den)
 
 
 def norm_real_subfield(e):
     """Norm from the real subfield to Q via the resultant with the
     trace polynomial."""
     psi = e.field.psi_n
-    rep, q = e.numerator_poly()
-    if rep.is_zero():
+    if not any(e.nums):
         raise ValueError("norm of zero")
-    return Fraction(resultant(psi, rep), q**psi.degree)
+    return Fraction(resultant(psi, IntPoly(e.nums)), e.den**psi.degree)
 
 
 def embedding_labels(n):
@@ -349,26 +332,24 @@ def real_embedding_values(e, width):
     Returns (label, (lo, hi)) pairs, labels ascending, each interval
     narrower than width. Requires the trace polynomial totally real.
     """
-    if Fraction(width) <= 0:
+    width = Fraction(width)
+    if width <= 0:
         raise ValueError("width must be positive")
     field = e.field
     psi = field.psi_n
-    roots = real_root_isolation(psi)
-    if len(roots) != psi.degree:
-        raise ValueError("trace polynomial is not totally real")
-    labels = embedding_labels(field.n)
-    # label k pairs with the k-th largest root: 2cos is decreasing on (0, pi)
-    ordered = list(reversed(roots))
+    goal = width * e.den
     out = []
-    for k, iv in zip(labels, ordered):
-        lo, hi = interval_eval(e.coeffs, iv)
-        goal = Fraction(width)
-        w = iv[1] - iv[0]
-        while hi - lo >= goal:
-            w = w / 4 if w else Fraction(1, 4)
-            iv = refine_root(psi, iv, w)
-            lo, hi = interval_eval(e.coeffs, iv)
-        out.append((k, (lo, hi)))
+    for k, root in zip(embedding_labels(field.n), field.psi_roots):
+        # the root goes straight to the target width, then narrower
+        # only while e's slope keeps the value interval too wide
+        w = width
+        while True:
+            root = refine_root(psi, root, w)
+            lo, hi = interval_eval(e.nums, root)
+            if hi - lo < goal:
+                break
+            w /= 16
+        out.append((k, (lo / e.den, hi / e.den)))
     return out
 
 
@@ -379,29 +360,18 @@ def real_embedding_signs(e, digits):
     carrying `digits` significant digits; raises when e vanishes at
     some embedding (sign undefined).
     """
-    field = e.field
-    psi = field.psi_n
-    rep, _ = e.numerator_poly()
-    if rep.is_zero() or (not e.is_constant() and resultant(psi, rep) == 0):
+    if not any(e.nums) or resultant(e.field.psi_n, IntPoly(e.nums)) == 0:
         raise ValueError("element vanishes at a real embedding")
-    if e.is_constant():
-        v = e.coeffs[0]
-        text = format_decimal(v, digits)
-        return [(k, 1 if v > 0 else -1, text) for k in embedding_labels(field.n)]
-    roots = real_root_isolation(psi)
-    if len(roots) != psi.degree:
-        raise ValueError("trace polynomial is not totally real")
-    rows = []
-    for k, iv in zip(embedding_labels(field.n), reversed(roots)):
-        w = Fraction(1, 10 ** (digits + 4))
-        lo, hi = interval_eval(e.coeffs, refine_root(psi, iv, w))
-        # the value is irrational (e nonconstant, psi irreducible), so
-        # both the sign and the rounded print stabilize eventually
-        while lo <= 0 <= hi or format_decimal(lo, digits) != format_decimal(hi, digits):
-            w /= 16
-            lo, hi = interval_eval(e.coeffs, refine_root(psi, iv, w))
-        rows.append((k, 1 if lo > 0 else -1, format_decimal(lo, digits)))
-    return rows
+    # every value is nonzero and either exact (e constant) or irrational
+    # (psi irreducible), so both ends of each interval eventually print
+    # alike; a nonzero print then fixes the sign as well
+    width = Fraction(1, 10 ** (digits + 4))
+    while True:
+        rows = real_embedding_values(e, width)
+        prints = [(format_decimal(lo, digits), format_decimal(hi, digits)) for _, (lo, hi) in rows]
+        if all(a == b for a, b in prints):
+            return [(k, 1 if lo > 0 else -1, a) for (k, (lo, _)), (a, _) in zip(rows, prints)]
+        width /= 16
 
 
 def twist_element_parts(field):
@@ -435,7 +405,8 @@ def build_trace_form_lattice(field, a):
     mu inverts the derivative of the trace polynomial at zeta + zeta^-1,
     plus the multiplication-by-zeta isometry.
 
-    The Gram matrix is Toeplitz: entry (i, j) depends only on i - j.
+    The Gram matrix is Toeplitz: entry (i, j) depends only on i - j, and
+    Tr(w zeta^k) = sum_i w_i Tr(zeta^(i+k)) reads off the power sums.
     """
     if not a.is_integral():
         raise ValueError("twisting element must be integral")
@@ -443,15 +414,14 @@ def build_trace_form_lattice(field, a):
         raise ValueError("twisting element must be involution-fixed")
     if a.norm() == 0:
         raise ValueError("twisting element must have nonzero norm")
-    d = field.degree
-    y = field.zeta_power(1) + field.zeta_power(-1)
-    w = a * dpsi_at(field, y).inverse()
+    n, d, traces = field.n, field.degree, field._traces
+    w = dpsi_quotient(a)
     gvals = []
     for k in range(d):
-        v = (w * field.zeta_power(k)).trace()
-        if v.denominator != 1:
+        v, r = divmod(sum(c * traces[(i + k) % n] for i, c in enumerate(w.nums)), w.den)
+        if r:
             raise ValueError("trace form is not integral for this element")
-        gvals.append(int(v))
+        gvals.append(v)
     gram = IntMatrix([[gvals[abs(i - j)] for j in range(d)] for i in range(d)])
     lattice = Lattice(gram)
     isometry = check_isometry(lattice, companion(field.phi_n))
@@ -467,3 +437,11 @@ def dpsi_at(field, y):
         acc = acc + c * power
         power = power * y
     return acc
+
+
+def dpsi_quotient(a):
+    """a / Psi_n'(y) at y = zeta + zeta^-1: the trace-form weight, whose
+    signs at the real embeddings give the signature of b_a."""
+    field = a.field
+    y = field.zeta_power(1) + field.zeta_power(-1)
+    return a * dpsi_at(field, y).inverse()

@@ -38,7 +38,8 @@ EPSILON_BY_INDEX = {1: 1, 5: 1, 25: 1, 2: -1, 10: -1, 50: -1}
 
 #: alpha with tau = alpha^2 + 2 not realizable: outside the
 #: Hashimoto-Keum-Lee table and (for alpha >= 2) not covered by any
-#: other witness
+#: other witness; the Phi_10^5 and Phi_50 routes fail for them because
+#: 5 does not divide alpha^2 + 4
 EXCLUDED_ALPHAS = (2, 3, 5, 7, 13, 17)
 
 
@@ -79,7 +80,8 @@ class TraceCandidate:
     def __post_init__(self):
         if self.tau < 3:
             raise ValueError("trace must be at least 3")
-        if self.m * euler_phi(self.l) != COFACTOR_DEGREE:
+        # candidate_pairs() is exactly the set with m * phi(l) = 20
+        if (self.l, self.m) not in candidate_pairs():
             raise ValueError("cyclotomic cofactor must have degree 20")
 
     @property
@@ -161,36 +163,6 @@ def admissible_values(tau):
             if is_perfect_square(aux):
                 routes.append(AdmissibleRoute(l, m, eps, cand.alpha, aux))
     return tuple(routes)
-
-
-@dataclass(frozen=True)
-class RulingOut:
-    alpha: int
-    excluded: bool
-    reasons: tuple  # (cyclotomic index, reason) pairs
-
-
-def lemma_ruling_out(alpha, epsilon=-1):
-    """Exclusion test for traces tau = alpha^2 + 2 (epsilon = -1 only).
-
-    alpha in {2, 3, 5, 7, 13, 17} is excluded: the Phi_2^20 route has no
-    Hashimoto-Keum-Lee witness, and the Phi_10^5 / Phi_50 routes already
-    fail the necessary condition because 5 does not divide alpha^2 + 4.
-    alpha = 1 stays allowed (trace 3 is realized by the certified
-    pipeline), as does every alpha in the axiom table.
-    """
-    if epsilon != -1:
-        raise ValueError("the exclusion argument is specific to epsilon = -1")
-    if alpha < 1:
-        raise ValueError("alpha must be positive")
-    if alpha == 1 or hkl_realizable(alpha, -1):
-        return RulingOut(alpha, False, ())
-    reasons = [(2, "HKL A_-1 exclusion")]
-    aux = alpha * alpha + 4
-    if aux % 5 != 0:
-        reasons.append((10, f"5 does not divide alpha^2+4={aux}"))
-        reasons.append((50, f"5 does not divide alpha^2+4={aux}"))
-    return RulingOut(alpha, True, tuple(reasons))
 
 
 def theorem_b_set(bound):

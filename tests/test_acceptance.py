@@ -18,7 +18,7 @@ from k3glue.arith import is_perfect_square
 from k3glue.certify import assemble_k3, build_l1, build_l2, certify
 from k3glue.cyclotomic import (
     cyclotomic_poly,
-    dpsi_at,
+    dpsi_quotient,
     norm_real_subfield,
     real_embedding_signs,
     real_embedding_values,
@@ -77,9 +77,7 @@ def assembly():
 
 
 def quotient_element(assembly):
-    field = assembly.field
-    y = field.zeta_power(1) + field.zeta_power(-1)
-    return real_subfield(assembly.parts["a"] * dpsi_at(field, y).inverse())
+    return real_subfield(dpsi_quotient(assembly.parts["a"]))
 
 
 @gate("full-certification")

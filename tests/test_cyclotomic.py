@@ -11,6 +11,7 @@ from k3glue.cyclotomic import (
     build_trace_form_lattice,
     cyclotomic_poly,
     dpsi_at,
+    dpsi_quotient,
     embedding_labels,
     norm_real_subfield,
     real_embedding_signs,
@@ -20,7 +21,7 @@ from k3glue.cyclotomic import (
     twist_element_parts,
 )
 from k3glue.matrices import IntMatrix
-from k3glue.polynomials import IntPoly
+from k3glue.polynomials import IntPoly, format_decimal
 
 PHI_50 = IntPoly([1, 0, 0, 0, 0, -1, 0, 0, 0, 0, 1, 0, 0, 0, 0, -1, 0, 0, 0, 0, 1])
 PSI_50 = IntPoly([-1, -5, 25, 5, -50, -1, 35, 0, -10, 0, 1])
@@ -111,23 +112,67 @@ def test_power_reduction_wraps():
     assert acc.is_zero()
 
 
+def integer_coeffs(rng, count):
+    return [rng.randrange(-5, 6) for _ in range(count)]
+
+
+def rational_coeffs(rng, count):
+    return [Fraction(rng.randrange(-5, 6), rng.choice((1, 2, 3, 4, 6, 9))) for _ in range(count)]
+
+
+def in_lowest_terms(e):
+    return e.den > 0 and math.gcd(e.den, *e.nums) == 1
+
+
 def test_element_arithmetic_random():
-    field = CycloField(12)
     rng = random.Random(53)
-    for _ in range(60):
-        a = field.element([rng.randrange(-5, 6) for _ in range(4)])
-        b = field.element([rng.randrange(-5, 6) for _ in range(4)])
-        c = field.element([rng.randrange(-5, 6) for _ in range(4)])
-        assert (a + b) * c == a * c + b * c
-        assert a * b == b * a
-        assert (a - b) + b == a
-        assert a.conj().conj() == a
-        assert (a * b).conj() == a.conj() * b.conj()
-        assert (a + b).trace() == a.trace() + b.trace()
-        if not a.is_zero():
-            assert a * a.inverse() == field.one()
-        if not a.is_zero() and not b.is_zero():
-            assert (a * b).norm() == a.norm() * b.norm()
+    for n in (12, 15):
+        field = CycloField(n)
+        zero, one = field.zero(), field.one()
+        for draw in (integer_coeffs, rational_coeffs):
+            for _ in range(30):
+                a, b, c = (field.element(draw(rng, field.degree)) for _ in range(3))
+                results = [a, b, c, a + b, a * b, a - b, -a, a.conj(), zero, one]
+                # ring axioms
+                assert (a + b) + c == a + (b + c)
+                assert (a * b) * c == a * (b * c)
+                assert a + b == b + a
+                assert a * b == b * a
+                assert (a + b) * c == a * c + b * c
+                assert a + zero == a and a * one == a
+                assert a + (-a) == zero
+                assert (a - b) + b == a
+                # conj is an involutive ring map
+                assert a.conj().conj() == a
+                assert (a + b).conj() == a.conj() + b.conj()
+                assert (a * b).conj() == a.conj() * b.conj()
+                assert one.conj() == one
+                assert (a + b).trace() == a.trace() + b.trace()
+                if not a.is_zero():
+                    inv = a.inverse()
+                    results.append(inv)
+                    assert a * inv == one
+                if not a.is_zero() and not b.is_zero():
+                    assert (a * b).norm() == a.norm() * b.norm()
+                assert all(in_lowest_terms(e) for e in results)
+                assert a.coeffs == tuple(Fraction(x, a.den) for x in a.nums)
+
+
+def test_element_reduces_long_rational_inputs():
+    field = CycloField(12)
+    rng = random.Random(61)
+    for _ in range(20):
+        coeffs = rational_coeffs(rng, 30)
+        e = field.element(coeffs)
+        expected = field.zero()
+        for k, c in enumerate(coeffs):
+            expected = expected + c * field.zeta_power(k)
+        assert e == expected
+        assert in_lowest_terms(e)
+    half = field.element([Fraction(2, 4), Fraction(-3, 6)])
+    assert (half.nums, half.den) == ((1, -1, 0, 0), 2)
+    assert not half.is_integral()
+    assert (2 * half).is_integral()
 
 
 def test_norm_and_trace_of_scalars():
@@ -171,14 +216,48 @@ def test_twist_element_parts():
         twist_element_parts(CycloField(10))
 
 
+def from_real_subfield(e):
+    """Sum c_j y^j in Q(zeta), y = zeta + zeta^-1, built here as the oracle."""
+    field = e.field
+    y = field.zeta_power(1) + field.zeta_power(-1)
+    acc, power = field.zero(), field.one()
+    for c in e.coeffs:
+        acc = acc + c * power
+        power = power * y
+    return acc
+
+
 def test_real_subfield_round_trip():
     field = CycloField(50)
     y = field.zeta_power(1) + field.zeta_power(-1)
     e = real_subfield(y * y - 3 * y + 1)
-    assert e == RealSubfieldElement(field, [1, -3, 1])
-    assert e.to_cyclotomic() == y * y - 3 * y + 1
+    assert e == RealSubfieldElement(field, [1, -3, 1], 1)
+    assert from_real_subfield(e) == y * y - 3 * y + 1
     with pytest.raises(ValueError):
         real_subfield(field.zeta_power(1))
+    with pytest.raises(ValueError):
+        RealSubfieldElement(field, [0] * 11, 1)
+
+
+def test_real_subfield_round_trip_rational():
+    rng = random.Random(67)
+    for n in (12, 15, 50):
+        field = CycloField(n)
+        m = field.degree // 2
+        for _ in range(10):
+            coeffs = rational_coeffs(rng, m)
+            den = math.lcm(*(c.denominator for c in coeffs))
+            e = RealSubfieldElement(field, [int(c * den) for c in coeffs], den)
+            assert in_lowest_terms(e)
+            assert e.coeffs == tuple(coeffs)
+            x = from_real_subfield(e)
+            assert x.conj() == x
+            back = real_subfield(x)
+            assert back == e
+            assert in_lowest_terms(back)
+    # the constructor brings any denominator sign to lowest terms
+    e = RealSubfieldElement(field, [2, -4], -6)
+    assert (e.nums[:2], e.den) == ((-1, 2), 3)
 
 
 def test_norm_real_subfield():
@@ -186,7 +265,7 @@ def test_norm_real_subfield():
     a = twist_element_parts(field)["a"]
     assert norm_real_subfield(real_subfield(a)) == 3001
     # N(y - 3) = prod (root - 3) = (-1)^10 Psi(3), and Psi(3) = Psi_50(3)
-    assert norm_real_subfield(RealSubfieldElement(field, [-3, 1])) == PSI_50(3)
+    assert norm_real_subfield(RealSubfieldElement(field, [-3, 1], 1)) == PSI_50(3)
     assert PSI_50(3) == 3001 * PSI_50(-2)
 
 
@@ -198,7 +277,7 @@ def test_embedding_labels():
 
 def test_real_embedding_values_match_cosines():
     field = CycloField(50)
-    y = RealSubfieldElement(field, [0, 1])
+    y = RealSubfieldElement(field, [0, 1], 1)
     rows = real_embedding_values(y, Fraction(1, 10**12))
     assert [k for k, _ in rows] == list(embedding_labels(50))
     for k, (lo, hi) in rows:
@@ -211,16 +290,32 @@ def test_real_embedding_values_match_cosines():
 
 def test_real_embedding_signs():
     field = CycloField(50)
-    y = RealSubfieldElement(field, [0, 1])
+    y = RealSubfieldElement(field, [0, 1], 1)
     rows = real_embedding_signs(y, 5)
     for k, sign, text in rows:
         c = 2 * math.cos(2 * math.pi * k / 50)
         assert sign == (1 if c > 0 else -1)
         assert abs(float(text) - c) < 1e-4
-    rows = real_embedding_signs(RealSubfieldElement(field, [-7]), 3)
+    rows = real_embedding_signs(RealSubfieldElement(field, [-7], 1), 3)
     assert all(sign == -1 and text == "-7.00" for _, sign, text in rows)
     with pytest.raises(ValueError):
-        real_embedding_signs(RealSubfieldElement(field, []), 5)
+        real_embedding_signs(RealSubfieldElement(field, [], 1), 5)
+
+
+def test_real_embedding_signs_refine_small_values():
+    # e = y - lo is within 10^-12 of zero at label 1, so five significant
+    # digits need an interval far narrower than the starting 10^-9
+    field = CycloField(50)
+    y = RealSubfieldElement(field, [0, 1], 1)
+    (_, (lo, hi)), *_ = real_embedding_values(y, Fraction(1, 10**12))
+    e = RealSubfieldElement(field, [-lo.numerator, lo.denominator], lo.denominator)
+    rows = real_embedding_signs(e, 5)
+    fine = real_embedding_values(e, Fraction(1, 10**40))
+    for (k, sign, text), (label, (flo, fhi)) in zip(rows, fine):
+        assert k == label
+        assert sign == (1 if flo > 0 else -1)
+        assert text == format_decimal(flo, 5) == format_decimal(fhi, 5)
+    assert rows[0][1] == 1 and 0 < Fraction(rows[0][2]) < Fraction(1, 10**12)
 
 
 def test_dpsi_matches_float_derivative():
@@ -247,6 +342,26 @@ def test_trace_form_lattice():
     assert lattice.det == 45030005
     assert lattice.signature() == (2, 18)
     assert lattice.is_even()
+
+
+def test_trace_form_matches_element_traces():
+    # oracle: each Gram entry as the trace of an explicit element product
+    rng = random.Random(71)
+    for n in (12, 15, 50):
+        field = CycloField(n)
+        y = field.zeta_power(1) + field.zeta_power(-1)
+        for _ in range(3):
+            b = field.element(integer_coeffs(rng, field.degree))
+            a = b + b.conj()
+            if a.norm() == 0:
+                continue
+            w = dpsi_quotient(a)
+            assert w * dpsi_at(field, y) == a
+            lattice, _ = build_trace_form_lattice(field, a)
+            for i in range(field.degree):
+                for j in range(field.degree):
+                    x = w * field.zeta_power(i) * field.zeta_power(j).conj()
+                    assert lattice.gram[i, j] == x.trace()
 
 
 def test_trace_form_lattice_rejections():

@@ -13,7 +13,6 @@ from k3glue.salem import (
     candidate_pairs,
     cross_validate,
     hkl_realizable,
-    lemma_ruling_out,
     salem_value,
     square_condition_filter,
     theorem_b_set,
@@ -126,19 +125,19 @@ def test_hkl_axiom_table():
 
 
 def test_lemma_ruling_out():
+    # tau = alpha^2 + 2 is excluded when the Phi_2^20 route has no
+    # Hashimoto-Keum-Lee witness and the Phi_10^5 / Phi_50 routes fail
+    # the necessary condition, because 5 does not divide alpha^2 + 4
     for alpha in EXCLUDED_ALPHAS:
-        out = lemma_ruling_out(alpha)
-        assert out.excluded
-        indices = [i for i, _ in out.reasons]
-        assert indices == [2, 10, 50]
+        assert not hkl_realizable(alpha, -1)
         assert (alpha * alpha + 4) % 5 != 0
-    assert not lemma_ruling_out(1).excluded
-    assert not lemma_ruling_out(4).excluded
-    assert not lemma_ruling_out(40).excluded
-    with pytest.raises(ValueError):
-        lemma_ruling_out(4, epsilon=1)
-    with pytest.raises(ValueError):
-        lemma_ruling_out(0)
+    # 1 is realized by the certified trace-3 pipeline, 4 and 40 by the table
+    for alpha in (1, 4, 40):
+        assert alpha not in EXCLUDED_ALPHAS
+    # every other alpha without a table witness is excluded
+    assert EXCLUDED_ALPHAS == tuple(
+        alpha for alpha in range(2, 100) if not hkl_realizable(alpha, -1)
+    )
 
 
 def test_theorem_b_set():
