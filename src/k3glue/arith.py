@@ -29,6 +29,16 @@ def _pollard_rho(n, rng):
             return d
 
 
+def _iroot(n, k):
+    """Largest r with r^k <= n, for n >= 1 (integer Newton from above)."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
 def _is_probable_prime(n):
     if n < 2:
         return False
@@ -85,6 +95,15 @@ def factorize(n):
                 continue
             if _is_probable_prime(m):
                 factors[m] = factors.get(m, 0) + 1
+                continue
+            # rho needs about sqrt(p) steps to split p^k; a root is found
+            # at once (every factor exceeds 2^19, so k stays below the bound)
+            k = next(
+                (k for k in range(2, m.bit_length() // 19 + 1) if _iroot(m, k) ** k == m),
+                None,
+            )
+            if k is not None:
+                stack.extend([_iroot(m, k)] * k)
                 continue
             d = _pollard_rho(m, rng)
             stack.append(d)

@@ -389,8 +389,14 @@ def certify(assembly=None):
     def quotient():
         return once("quotient", lambda: real_subfield(dpsi_quotient(a)))
 
+    def intervals():
+        # the reference check's width, and the first one the sign rows try
+        return once("intervals", lambda: real_embedding_values(quotient(), Fraction(1, 10**9)))
+
     def sign_rows():
-        return once("rows", lambda: real_embedding_signs(quotient(), EMBEDDING_DIGITS))
+        return once(
+            "rows", lambda: real_embedding_signs(quotient(), EMBEDDING_DIGITS, intervals())
+        )
 
     def sign_pattern():
         rows = sign_rows()
@@ -401,9 +407,8 @@ def certify(assembly=None):
     run("L2.embeddings.sign_pattern", sign_pattern)
 
     def embedding_values():
-        pairs = real_embedding_values(quotient(), Fraction(1, 10**9))
         ok = True
-        for (_, (lo, hi)), text in zip(pairs, EMBEDDING_REFERENCE):
+        for (_, (lo, hi)), text in zip(intervals(), EMBEDDING_REFERENCE):
             target = Fraction(text)
             tol = _print_tolerance(text)
             ok = ok and target - tol <= lo and hi <= target + tol

@@ -353,12 +353,14 @@ def real_embedding_values(e, width):
     return out
 
 
-def real_embedding_signs(e, digits):
+def real_embedding_signs(e, digits, values=None):
     """Sign and decimal approximation of e at every real embedding.
 
     Output rows (label, sign, approximation) with the approximation
     carrying `digits` significant digits; raises when e vanishes at
-    some embedding (sign undefined).
+    some embedding (sign undefined). `values`, when given, are enclosing
+    intervals of e as real_embedding_values returns them, tried first
+    in place of a fresh refinement to width 10^-(digits+4).
     """
     if not any(e.nums) or resultant(e.field.psi_n, IntPoly(e.nums)) == 0:
         raise ValueError("element vanishes at a real embedding")
@@ -366,12 +368,13 @@ def real_embedding_signs(e, digits):
     # (psi irreducible), so both ends of each interval eventually print
     # alike; a nonzero print then fixes the sign as well
     width = Fraction(1, 10 ** (digits + 4))
+    rows = values if values is not None else real_embedding_values(e, width)
     while True:
-        rows = real_embedding_values(e, width)
         prints = [(format_decimal(lo, digits), format_decimal(hi, digits)) for _, (lo, hi) in rows]
         if all(a == b for a, b in prints):
             return [(k, 1 if lo > 0 else -1, a) for (k, (lo, _)), (a, _) in zip(rows, prints)]
         width /= 16
+        rows = real_embedding_values(e, width)
 
 
 def twist_element_parts(field):

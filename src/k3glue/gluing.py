@@ -1,9 +1,12 @@
 """Glue two even lattices along an anti-isometry of their glue groups
 into an even unimodular overlattice carrying both isometries.
 
-Glue maps are found prime by prime: scalar scan on cyclic parts,
-eigenline matching on two-dimensional killed parts with split action,
-bounded exhaustive search otherwise. All choices are deterministic.
+Glue maps are found prime by prime: on cyclic parts the scalars come
+from modular square roots (Tonelli-Shanks and Hensel lifting, never a
+scan over residues); two-dimensional killed parts with split action
+match eigenlines; anything else gets a bounded exhaustive search. Form
+values are read from each Sylow component's discriminant-form table.
+All choices are deterministic.
 """
 
 import math
@@ -11,10 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+from .arith import factorize
 from .lattices import (
     Lattice,
-    _matvec,
-    _p_part_coords,
     check_isometry,
     sylow_decomposition,
 )
@@ -38,16 +40,132 @@ class NoGlueMapError(Exception):
         self.obstruction = obstruction
 
 
+def _sqrt_mod_prime(b, p):
+    """A square root of b modulo an odd prime p (Tonelli-Shanks), or None."""
+    b %= p
+    if b == 0:
+        return 0
+    if pow(b, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(b, q, p), pow(b, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        f = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, f * f % p, t * f * f % p, r * f % p
+    return r
+
+
+def _unit_root_classes(b, r, k):
+    """Classes (y, n) whose union is the set of y with y^2 = b mod r^k,
+    for a unit b, r prime and k >= 1."""
+    rk = r**k
+    if r == 2:
+        if b % 2 ** min(k, 3) != 1:
+            return []
+        if k <= 2:
+            return [(1, 2)]
+        # lift one bit at a time; the four roots are +-y and +-y + 2^(k-1)
+        y = 1
+        for i in range(3, k):
+            if (y * y - b) % 2 ** (i + 1):
+                y += 2 ** (i - 1)
+        half = rk // 2
+        return [(y % half, half), (-y % half, half)]
+    y = _sqrt_mod_prime(b, r)
+    if y is None:
+        return []
+    m = r
+    while m < rk:  # Hensel (Newton) lifting doubles the precision
+        m = min(m * m, rk)
+        y = (y - (y * y - b) * pow(2 * y, -1, m)) % m
+    return [(y, rk), (-y % rk, rk)]
+
+
+def _valuation(n, r):
+    v = 0
+    while n % r == 0:
+        n //= r
+        v += 1
+    return v
+
+
+def _root_classes(a, b, r, k):
+    """Classes (x0, n) whose union is the set of x with a x^2 = b mod r^k."""
+    rk = r**k
+    a, b = a % rk, b % rk
+    v = _valuation(a, r) if a else k
+    if b % r**v:
+        return []
+    big = r ** (k - v)
+    rhs = (b // r**v) * pow(a // r**v, -1, big) % big  # x^2 = rhs mod big
+    if rhs == 0:
+        return [(0, r ** ((k - v + 1) // 2))]
+    w = _valuation(rhs, r)
+    if w % 2:
+        return []
+    # every root is r^(w/2) times a unit root of rhs / r^w
+    scale = r ** (w // 2)
+    return [
+        (scale * y, scale * n)
+        for y, n in _unit_root_classes(rhs // r**w, r, k - v - w)
+    ]
+
+
 def anti_isometry_scalars(q1, q2, order):
-    """Unit scalars c mod `order` with c^2 q2 = -q1 in Q/2Z, ascending."""
+    """Unit scalars c mod `order` with c^2 q2 = -q1 in Q/2Z, ascending.
+
+    `order` must be a prime power p^e. Over the common denominator L of
+    the values the condition is the integer congruence
+    c^2 L q2 = -L q1 mod 2L, solved prime by prime of 2L by modular
+    square roots and joined by the Chinese remainder theorem. For values
+    of a p-part (denominators powers of p) the time is polynomial in
+    log(order) plus the size of the answer; each scalar returned is
+    re-checked against the condition in Q/2Z.
+    """
     if q1.modulus != 2 or q2.modulus != 2:
         raise ValueError("quadratic torsion values required")
+    if order == 1:
+        return ()
+    primes = factorize(order) if order > 1 else {}
+    if len(primes) != 1:
+        raise ValueError(f"order {order} is not a prime power")
+    (p,) = primes
+    den = math.lcm(q1.value.denominator, q2.value.denominator)
+    a, b = int(q2.value * den), int(-q1.value * den)
+    # 2L is a power of 2 times a power of p for values of a p-part; only
+    # a foreign denominator leaves a cofactor for factorize
+    rest, modulus = 2 * den, {}
+    for r in {2, p}:
+        if rest % r == 0:
+            modulus[r] = _valuation(rest, r)
+            rest //= r ** modulus[r]
+    modulus.update(factorize(rest))
+    classes = [(0, 1)]
+    for r, k in modulus.items():
+        classes = [
+            (s + n * ((t - s) * pow(n, -1, m) % m), n * m)
+            for s, n in classes
+            for t, m in _root_classes(a, b, r, k)
+        ]
     out = []
-    for c in range(1, order):
-        if math.gcd(c, order) != 1:
-            continue
-        if (c * c * q2.value + q1.value) % 2 == 0:
-            out.append(c)
+    for s, n in classes:
+        if n % p == 0 and s % p == 0:
+            continue  # no unit in this class
+        out.extend(c for c in range(s or n, order, n) if c % p)
+    out.sort()
+    for c in out:
+        if (c * c * q2.value + q1.value) % 2 != 0 or math.gcd(c, order) != 1:
+            raise AssertionError(f"scalar {c} fails the anti-isometry condition")
     return tuple(out)
 
 
@@ -59,8 +177,10 @@ class GlueComponent:
     comp2: object
 
     def image_coords(self, coords):
-        out = _matvec(self.matrix, coords)
-        return tuple(int(c) % d for c, d in zip(out, self.comp2.orders))
+        return tuple(
+            sum(m * c for m, c in zip(row, coords)) % d
+            for row, d in zip(self.matrix.data, self.comp2.orders)
+        )
 
 
 class GlueMap:
@@ -84,22 +204,18 @@ class GlueMap:
 
     def matches_classes(self, x, y):
         """Whether gamma sends the class of x to the class of y, exactly."""
-        for gc in self.components:
-            c1 = _p_part_coords(self.group1, gc.comp1, x)
-            c2 = _p_part_coords(self.group2, gc.comp2, y)
-            if gc.image_coords(c1) != c2:
-                return False
-        return True
+        if not self.components:
+            return True
+        full1, full2 = self.group1.classify(x), self.group2.classify(y)
+        return all(
+            gc.image_coords(gc.comp1.project(full1)) == gc.comp2.project(full2)
+            for gc in self.components
+        )
 
 
-def _quad(group, comp, coords):
-    return group.quadratic(comp.lift_of(coords)).value
-
-
-def _pair_num(group, comp, coords_a, coords_b, p):
+def _pair_num(comp, coords_a, coords_b, p):
     """Numerator mod p of the torsion pairing of two p-part classes."""
-    v = group.bilinear(comp.lift_of(coords_a), comp.lift_of(coords_b)).value
-    return int(v * p) % p
+    return int(comp.bilinear(coords_a, coords_b).value * p) % p
 
 
 def _verify_component(g1, g2, action1, action2, gc):
@@ -112,14 +228,14 @@ def _verify_component(g1, g2, action1, action2, gc):
             probes.append(tuple(a + b for a, b in zip(basis[i], basis[j])))
     for coords in probes:
         image = gc.image_coords(coords)
-        if (_quad(g1, gc.comp1, coords) + _quad(g2, gc.comp2, image)) % 2 != 0:
+        q = gc.comp1.quadratic(coords).value + gc.comp2.quadratic(image).value
+        if q % 2 != 0:
             return "form mismatch"
     for j in range(k):
-        x = gc.comp1.lifts[j]
-        tx = action1.isometry.apply(x)
-        left = gc.image_coords(_p_part_coords(g1, gc.comp1, tx))
+        tx = action1.isometry.apply(gc.comp1.lifts[j])
+        left = gc.image_coords(gc.comp1.project(g1.classify(tx)))
         y = gc.comp2.lift_of(gc.image_coords(basis[j]))
-        right = _p_part_coords(g2, gc.comp2, action2.isometry.apply(y))
+        right = gc.comp2.project(g2.classify(action2.isometry.apply(y)))
         if left != right:
             return "equivariance mismatch"
     return None
@@ -134,7 +250,7 @@ def _eigen_split(m, p):
     disc = (tr * tr - 4 * dt) % p
     if disc == 0:
         return None
-    s = next((x for x in range(p) if x * x % p == disc), None)
+    s = _sqrt_mod_prime(disc, p)
     if s is None:
         return None
     inv2 = pow(2, -1, p)
@@ -153,11 +269,9 @@ def _eigen_split(m, p):
     return out
 
 
-def _find_cyclic(g1, g2, action1, action2, comp1, comp2):
+def _find_cyclic(action1, action2, comp1, comp2):
     d = comp1.orders[0]
-    q1 = g1.quadratic(comp1.lifts[0])
-    q2 = g2.quadratic(comp2.lifts[0])
-    scalars = anti_isometry_scalars(q1, q2, d)
+    scalars = anti_isometry_scalars(comp1.quadratic((1,)), comp2.quadratic((1,)), d)
     m1 = action1.sylow_matrix(comp1)[0, 0] % d
     m2 = action2.sylow_matrix(comp2)[0, 0] % d
     if not scalars:
@@ -173,7 +287,7 @@ def _find_cyclic(g1, g2, action1, action2, comp1, comp2):
     return IntMatrix([[scalars[0]]])
 
 
-def _find_eigen(g1, g2, action1, action2, comp1, comp2, p):
+def _find_eigen(action1, action2, comp1, comp2, p):
     s1 = _eigen_split(action1.sylow_matrix(comp1), p)
     s2 = _eigen_split(action2.sylow_matrix(comp2), p)
     if s1 is None or s2 is None:
@@ -185,11 +299,11 @@ def _find_eigen(g1, g2, action1, action2, comp1, comp2, p):
         )
     (lam, v1), (mu, w1) = s1
     (_, v2), (_, w2) = s2
-    for g, comp, vec in ((g1, comp1, v1), (g1, comp1, w1), (g2, comp2, v2), (g2, comp2, w2)):
-        if _quad(g, comp, vec) != 0:
+    for comp, vec in ((comp1, v1), (comp1, w1), (comp2, v2), (comp2, w2)):
+        if comp.quadratic(vec).value != 0:
             return None  # eigenlines not isotropic; let the fallback decide
-    b1 = _pair_num(g1, comp1, v1, w1, p)
-    b2 = _pair_num(g2, comp2, v2, w2, p)
+    b1 = _pair_num(comp1, v1, w1, p)
+    b2 = _pair_num(comp2, v2, w2, p)
     if b1 == 0 or b2 == 0:
         return None
     # gamma: v1 -> v2, w1 -> r w2 with r solving the single pairing equation
@@ -217,12 +331,11 @@ def _find_exhaustive(g1, g2, action1, action2, comp1, comp2):
     def admissible(assigned, j, cand):
         if comp2.class_order(cand) != comp1.orders[j]:
             return False
-        if (_quad(g1, comp1, basis[j]) + _quad(g2, comp2, cand)) % 2 != 0:
+        if (comp1.quadratic(basis[j]).value + comp2.quadratic(cand).value) % 2 != 0:
             return False
         for i, prev in enumerate(assigned):
-            want = -g1.bilinear(comp1.lifts[i], comp1.lifts[j]).value % 1
-            got = g2.bilinear(comp2.lift_of(prev), comp2.lift_of(cand)).value
-            if got != want:
+            want = -comp1.bilinear(basis[i], basis[j]).value % 1
+            if comp2.bilinear(prev, cand).value != want:
                 return False
         return True
 
@@ -283,12 +396,11 @@ def find_glue_map(group1, group2, action1, action2):
                 "group mismatch",
             )
         if len(comp1.orders) == 1:
-            matrix = _find_cyclic(g1=group1, g2=group2, action1=action1,
-                                  action2=action2, comp1=comp1, comp2=comp2)
+            matrix = _find_cyclic(action1, action2, comp1, comp2)
         else:
             matrix = None
             if len(comp1.orders) == 2 and comp1.killed_by_p and p % 2 == 1:
-                matrix = _find_eigen(group1, group2, action1, action2, comp1, comp2, p)
+                matrix = _find_eigen(action1, action2, comp1, comp2, p)
             if matrix is None:
                 matrix = _find_exhaustive(group1, group2, action1, action2, comp1, comp2)
         gc = GlueComponent(p, matrix, comp1, comp2)

@@ -26,8 +26,9 @@ def _matvec(m, v):
     vector's common denominator."""
     if m.cols != len(v):
         raise ValueError("dimension mismatch")
-    x, d = common_denominator([v])
-    return tuple(Fraction(c, d) for c in (m @ x.transpose()).col(0))
+    d = math.lcm(*(c.denominator for c in v))
+    x = [c.numerator * (d // c.denominator) for c in v]
+    return tuple(Fraction(sum(a * b for a, b in zip(row, x)), d) for row in m.data)
 
 
 def _vec_mod1(v):
@@ -206,13 +207,23 @@ def glue_group(lattice):
 
 @dataclass(frozen=True)
 class SylowComponent:
-    """p-part of a glue group: generator lifts with p-power orders."""
+    """p-part of a glue group: generator lifts with p-power orders, and
+    the discriminant form on those generators as a table of numerators
+    over one denominator."""
 
     prime: int
     orders: tuple
     lifts: tuple
     gen_indices: tuple  # which glue-group generators contribute
     killed_by_p: bool
+    #: unscale[k] inverts, mod orders[k], the cofactor that scaled
+    #: glue-group generator gen_indices[k] into this component
+    unscale: tuple
+    den: int  # one denominator for the whole form table
+    #: pair_nums[i][j] / den = b(x_i, x_j) mod 1
+    pair_nums: tuple
+    #: norm_nums[i] / den = q(x_i) mod 2; None for an odd lattice
+    norm_nums: tuple
 
     @property
     def order(self):
@@ -225,12 +236,40 @@ class SylowComponent:
     def class_order(self, coords):
         return _class_order(self.orders, coords)
 
+    def project(self, full):
+        """Coordinates of the p-part of a class given by its glue-group
+        coordinates (GlueGroup.classify)."""
+        return tuple(
+            full[j] * u % d for j, u, d in zip(self.gen_indices, self.unscale, self.orders)
+        )
+
+    def bilinear(self, a, b):
+        """Torsion bilinear value of two component classes, from the table."""
+        k = len(self.orders)
+        num = sum(
+            a[i] * b[j] * self.pair_nums[i][j] for i in range(k) for j in range(k)
+        )
+        return TorsionValue(Fraction(num % self.den, self.den), 1)
+
+    def quadratic(self, c):
+        """Torsion quadratic value of a component class, from the table:
+        q(sum c_i x_i) = sum c_i^2 q_i + 2 sum_{i<j} c_i c_j b_ij mod 2."""
+        if self.norm_nums is None:
+            raise ValueError("quadratic torsion form needs an even lattice")
+        k = len(self.orders)
+        num = sum(c[i] * c[i] * self.norm_nums[i] for i in range(k))
+        num += 2 * sum(
+            c[i] * c[j] * self.pair_nums[i][j] for i in range(k) for j in range(i + 1, k)
+        )
+        return TorsionValue(Fraction(num % (2 * self.den), self.den), 2)
+
 
 def sylow_decomposition(group):
     """Sylow components of a glue group, ordered by prime."""
+    lattice = group.lattice
     comps = []
     for p in group.prime_support:
-        orders, lifts, idx = [], [], []
+        orders, lifts, idx, unscale = [], [], [], []
         for j, d in enumerate(group.orders):
             e = 0
             dd = d
@@ -244,6 +283,12 @@ def sylow_decomposition(group):
             orders.append(p**e)
             lifts.append(lift)
             idx.append(j)
+            unscale.append(pow(cofactor, -1, p**e))
+        # the Gram matrix of the lifts, X G X^T over the square of their
+        # common denominator, holds every table entry
+        x, d = common_denominator(lifts)
+        gram = (x @ lattice.gram @ x.transpose()).data
+        den = d * d
         comps.append(
             SylowComponent(
                 prime=p,
@@ -251,6 +296,13 @@ def sylow_decomposition(group):
                 lifts=tuple(lifts),
                 gen_indices=tuple(idx),
                 killed_by_p=all(o == p for o in orders),
+                unscale=tuple(unscale),
+                den=den,
+                pair_nums=tuple(tuple(v % den for v in row) for row in gram),
+                norm_nums=(
+                    tuple(gram[i][i] % (2 * den) for i in range(len(gram)))
+                    if lattice.is_even() else None
+                ),
             )
         )
     return comps
@@ -305,10 +357,7 @@ class GlueAction:
 
         Column k expresses the image of the k-th component generator.
         """
-        cols = []
-        for lift in comp.lifts:
-            image = self.isometry.apply(lift)
-            cols.append(_p_part_coords(self.glue, comp, image))
+        cols = [comp.project(self.glue.classify(self.isometry.apply(lift))) for lift in comp.lifts]
         return IntMatrix(cols).transpose()
 
     def charpoly_mod_p(self, comp):
@@ -318,20 +367,6 @@ class GlueAction:
         p = comp.prime
         cp = charpoly(self.sylow_matrix(comp))
         return tuple(c % p for c in cp.coeffs)
-
-
-def _p_part_coords(group, comp, y):
-    """Coordinates of the p-part of a dual vector's class on comp's generators."""
-    full = group.classify(y)
-    p = comp.prime
-    coords = []
-    for k, j in enumerate(comp.gen_indices):
-        d = group.orders[j]
-        pe = comp.orders[k]
-        cofactor = d // pe
-        inv = pow(cofactor, -1, pe)
-        coords.append(full[j] * inv % pe)
-    return tuple(coords)
 
 
 def induced_glue_action(isometry):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from k3glue.arith import euler_phi, factorize, is_perfect_square
+from k3glue.arith import _iroot, euler_phi, factorize, is_perfect_square
 
 
 def test_perfect_squares():
@@ -52,6 +52,19 @@ def test_factorize_beyond_trial_division():
     p, q = 1000003, 1000033
     assert factorize(p * q) == {p: 1, q: 1}
     assert factorize(p * p) == {p: 2}
+
+
+def test_factorize_large_prime_powers():
+    # rho alone needs about sqrt(p) steps on p^k: seconds at p ~ 10^12
+    p, q = 10**12 + 39, 1000003
+    assert factorize(p**2) == {p: 2}
+    assert factorize(2 * p**3) == {2: 1, p: 3}
+    assert factorize((p * q) ** 2) == {q: 2, p: 2}
+    assert factorize(p**2 * q**3) == {q: 3, p: 2}
+    for n in range(1, 3000):
+        for k in (2, 3, 5):
+            r = _iroot(n, k)
+            assert r**k <= n < (r + 1) ** k
 
 
 def test_euler_phi_table():

@@ -102,6 +102,41 @@ def test_glue_toy_pair(capsys, tmp_path):
     assert parsed_rank == "rank 2"
 
 
+def run_glue_subprocess(tmp_path, gram1, gram2):
+    """`glue` on two diagonal lattices in a child with a 10 s limit."""
+    paths = []
+    for name, diag in (("a.lat", gram1), ("b.lat", gram2)):
+        rows = [" ".join(str(d if i == j else 0) for j in range(len(diag))) for i, d in enumerate(diag)]
+        paths.append(write(tmp_path, name, f"rank {len(diag)}\ngram\n" + "\n".join(rows) + "\n"))
+    return subprocess.run(
+        [sys.executable, "-m", "k3glue", "glue", *paths],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+
+
+def test_glue_at_a_prime_near_1e9_finishes(tmp_path):
+    p = 10**9 + 7
+    proc = run_glue_subprocess(tmp_path, [2 * p], [-2 * p])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("rank 2\ngram\n")
+
+
+def test_glue_at_a_squared_prime_near_1e12_finishes(tmp_path):
+    # glue order 2 p^2: factorizing it must not cost sqrt(p) rho steps
+    p = 10**12 + 39
+    proc = run_glue_subprocess(tmp_path, [2 * p * p], [-2 * p * p])
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_glue_rank_two_part_at_a_prime_near_1e9_hits_the_search_bound(tmp_path):
+    p = 10**9 + 7
+    proc = run_glue_subprocess(tmp_path, [2 * p, 2 * p], [-2 * p, -2 * p])
+    assert proc.returncode == 1
+    assert "obstruction: search bound" in proc.stderr
+
+
 def test_twist(capsys, tmp_path):
     path = write(tmp_path, "l1.lat", L1_TEXT)
     code, out, _ = run(capsys, "twist", path, "--poly", "3")

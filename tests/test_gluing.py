@@ -1,11 +1,16 @@
+import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
+from k3glue.arith import factorize
 from k3glue.gluing import (
     GlueComponent,
     GlueMap,
     NoGlueMapError,
+    _eigen_split,
+    _sqrt_mod_prime,
     anti_isometry_scalars,
     extend_isometry,
     find_glue_map,
@@ -18,8 +23,9 @@ from k3glue.lattices import (
     check_isometry,
     glue_group,
     induced_glue_action,
+    sylow_decomposition,
 )
-from k3glue.matrices import IntMatrix
+from k3glue.matrices import IntMatrix, block_diagonal, solve_rational
 
 
 def tv(value):
@@ -180,3 +186,188 @@ def test_extend_isometry_diagonal():
     assert ext.matrix == -1 * IntMatrix.identity(2)
     with pytest.raises(ValueError, match="not integral"):
         extend_isometry(result, neg1, check_isometry(l2, [[1]]))
+
+
+def prime_powers(limit):
+    return [
+        (p, p**e)
+        for p in range(2, limit)
+        if factorize(p) == {p: 1}
+        for e in range(1, limit.bit_length())
+        if p**e < limit
+    ]
+
+
+def scan_scalars(a, b, den, order, p):
+    """The residue scan: units c < order with c^2 b/den + a/den in 2Z."""
+    return tuple(c for c in range(1, order) if c % p and (c * c * b + a) % (2 * den) == 0)
+
+
+def test_anti_isometry_scalars_match_the_scan():
+    rng = random.Random(53)
+    for p, order in prime_powers(2000):
+        # natural denominator first; then values of smaller, larger and
+        # foreign denominators, which no glue group produces
+        dens = [order] + ([1, 2, p, 2 * order, p * order, 3 * order] if order < 64 else [])
+        for den in dens:
+            if den <= 8:
+                pairs = [(a, b) for a in range(2 * den) for b in range(2 * den)]
+            else:
+                pairs = [(rng.randrange(2 * den), rng.randrange(2 * den)) for _ in range(3)]
+                # numerators sharing a factor with p
+                pairs += [
+                    (p * rng.randrange(2 * den // p), rng.randrange(2 * den)),
+                    (rng.randrange(2 * den), p * rng.randrange(2 * den // p)),
+                ]
+            for a, b in pairs:
+                q1 = tv(Fraction(a, den))
+                q2 = tv(Fraction(b, den))
+                want = scan_scalars(a, b, den, order, p)
+                assert anti_isometry_scalars(q1, q2, order) == want, (a, b, den, order)
+
+
+def test_anti_isometry_scalars_at_a_large_prime():
+    p = 10**9 + 7
+    q1 = tv(Fraction(2, p))
+    q2 = tv(Fraction(-2, p))
+    assert anti_isometry_scalars(q1, q2, p) == (1, p - 1)
+    c1 = tv(Fraction(2, p**2))
+    c2 = tv(Fraction(-2, p**2))
+    assert anti_isometry_scalars(c1, c2, p**2) == (1, p**2 - 1)
+    assert anti_isometry_scalars(q1, q1, p) == ()  # -1 is not a square mod p = 3 mod 4
+    # only even c solve c^2 / 2 = 0 mod 2: no unit, and no scan either
+    zero, half = tv(0), tv(Fraction(1, 2))
+    assert anti_isometry_scalars(zero, half, 2**60) == ()
+    # c^2 = 1 mod 2^60 has four roots below 2^60
+    h = tv(Fraction(1, 2**59))
+    assert anti_isometry_scalars(h, tv(-h.value), 2**60) == (
+        1, 2**59 - 1, 2**59 + 1, 2**60 - 1,
+    )
+
+
+def test_anti_isometry_scalars_reject_non_prime_powers():
+    q = tv(Fraction(1, 3))
+    for order in (0, -5, 6, 12, 2 * (10**9 + 7)):
+        with pytest.raises(ValueError, match="prime power"):
+            anti_isometry_scalars(q, q, order)
+    assert anti_isometry_scalars(q, q, 1) == ()
+
+
+def test_sqrt_mod_prime_matches_brute_force():
+    for p in range(3, 500):
+        if factorize(p) != {p: 1}:
+            continue
+        squares = {x * x % p for x in range(p)}
+        for b in range(p):
+            r = _sqrt_mod_prime(b, p)
+            if b in squares:
+                assert r is not None and r * r % p == b
+            else:
+                assert r is None
+
+
+def test_eigen_split_matches_brute_force():
+    rng = random.Random(59)
+    for p in range(3, 500):
+        if factorize(p) != {p: 1}:
+            continue
+        for _ in range(4):
+            m = IntMatrix([[rng.randrange(p) for _ in range(2)] for _ in range(2)])
+            a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
+            roots = [x for x in range(p) if ((a - x) * (d - x) - b * c) % p == 0]
+            got = _eigen_split(m, p)
+            if len(roots) != 2:
+                assert got is None
+                continue
+            assert [lam for lam, _ in got] == roots
+            for lam, v in got:
+                assert next(x for x in v if x) == 1
+                assert (a * v[0] + b * v[1] - lam * v[0]) % p == 0
+                assert (c * v[0] + d * v[1] - lam * v[1]) % p == 0
+    # the square root of the discriminant is near p / 2: no scan reaches it
+    p = 10**9 + 7
+    h = (p - 1) // 2
+    assert _eigen_split(IntMatrix([[0, 1], [0, h]]), p) == [(0, (1, 0)), (h, (1, h))]
+
+
+def test_sylow_tables_match_the_torsion_form():
+    rng = random.Random(61)
+    grams = [
+        [[2]], [[6]], [[4, 1], [1, 4]], [[2, 0], [0, 6]], [[12, 6], [6, 30]],
+        [[6002, 3001], [3001, -6002]], [[8, 0, 0], [0, 4, 2], [0, 2, 18]],
+    ]
+    for gram in grams:
+        group = glue_group(Lattice(gram))
+        for comp in sylow_decomposition(group):
+            for _ in range(20):
+                c = tuple(rng.randrange(d) for d in comp.orders)
+                e = tuple(rng.randrange(d) for d in comp.orders)
+                x, y = comp.lift_of(c), comp.lift_of(e)
+                assert comp.quadratic(c) == group.quadratic(x)
+                assert comp.bilinear(c, e) == group.bilinear(x, y)
+                assert comp.project(group.classify(x)) == c
+    odd = glue_group(Lattice([[3]]))
+    (comp,) = sylow_decomposition(odd)
+    assert comp.bilinear((1,), (1,)) == odd.bilinear(comp.lifts[0], comp.lifts[0])
+    with pytest.raises(ValueError, match="even"):
+        comp.quadratic((1,))
+
+
+def _unimodular(rng, n):
+    """A seeded unimodular matrix and its inverse."""
+    u = IntMatrix.identity(n)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        e = [[int(r == c) for c in range(n)] for r in range(n)]
+        e[i][j] = rng.choice((-2, -1, 1, 2))
+        u = u @ IntMatrix(e)
+    inv, d = solve_rational(u, IntMatrix.identity(n))
+    assert d == 1
+    return u, inv
+
+
+def _random_even_lattice(rng, rank, p):
+    """Even U^T D U with a [[+-2p]] block in D, and a blockwise isometry."""
+    sign = rng.choice((1, -1))
+    blocks = [([[sign * 2 * p]], [[rng.choice((1, -1))]])]
+    size = 1
+    while size < rank:
+        s = rng.choice((1, -1))
+        if rank - size >= 2 and rng.random() < 0.5:
+            gram, iso = rng.choice([
+                ([[2, -1], [-1, 2]], [[0, -1], [1, -1]]),  # A2 and a rotation
+                ([[0, 1], [1, 0]], [[0, 1], [1, 0]]),  # H and its swap
+            ])
+            blocks.append(([[s * x for x in row] for row in gram], iso))
+            size += 2
+        else:
+            blocks.append(([[s * 2]], [[rng.choice((1, -1))]]))
+            size += 1
+    d = reduce(block_diagonal, (IntMatrix(g) for g, _ in blocks))
+    t = reduce(block_diagonal, (IntMatrix(i) for _, i in blocks))
+    u, uinv = _unimodular(rng, rank)
+    return Lattice(u.transpose() @ d @ u), uinv @ t @ u
+
+
+def test_generated_pairs_glue_to_even_unimodular_lattices():
+    rng = random.Random(67)
+    for case in range(12):
+        rank = 2 + case % 7
+        p = next(q for q in range(rng.randrange(10**3, 10**9), 2 * 10**9) if factorize(q) == {q: 1})
+        lat, tmat = _random_even_lattice(rng, rank, p)
+        neg = Lattice(-1 * lat.gram)
+        if case % 3 == 0:
+            tmat = IntMatrix.identity(rank)  # gluing without an isometry
+        t1, t2 = check_isometry(lat, tmat), check_isometry(neg, tmat)
+        a1, a2 = induced_glue_action(t1), induced_glue_action(t2)
+        # L (+) L(-1) glues along the identity anti-isometry (Nikulin)
+        gmap = find_glue_map(glue_group(lat), glue_group(neg), a1, a2)
+        assert verify_glue_map(gmap, a1, a2) is None
+        result = glue(lat, neg, gmap)
+        amb = result.ambient
+        assert amb.is_even() and amb.is_unimodular()
+        assert amb.signature() == (rank, rank)
+        assert result.index**2 == lat.det**2
+        ext = extend_isometry(result, t1, t2)
+        assert ext.matrix @ result.embed1 == result.embed1 @ t1.matrix
+        assert ext.matrix @ result.embed2 == result.embed2 @ t2.matrix

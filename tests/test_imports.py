@@ -76,3 +76,9 @@ def test_every_traced_layer_resolves_to_a_function():
         module = importlib.import_module(f"k3glue.{mod}")
         for name in names:
             assert inspect.isfunction(getattr(module, name, None)), f"k3glue.{mod}.{name}"
+    # tracer._size reads the glue order of the scalar search as args[2]
+    # or kwargs["order"]
+    assert layers.SCAN == "gluing.anti_isometry_scalars"
+    gluing = importlib.import_module("k3glue.gluing")
+    params = list(inspect.signature(gluing.anti_isometry_scalars).parameters)
+    assert params[2] == "order"
