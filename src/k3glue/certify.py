@@ -21,7 +21,6 @@ from .cyclotomic import (
     build_trace_form_lattice,
     cyclotomic_poly,
     dpsi_quotient,
-    embedding_labels,
     norm_real_subfield,
     real_embedding_signs,
     real_embedding_values,
@@ -260,8 +259,8 @@ def certify(assembly=None):
     def l1_generator():
         g = glue_group(l1)
         v = L1_FIVE_GENERATOR
-        order = g.class_order(g.classify(v))
-        q = g.quadratic(v)
+        coords = g.classify(v)
+        order, q = g.class_order(coords), g.quadratic(coords)
         ok = g.lattice.in_dual(v) and order == 5 and q.value == Fraction(2, 5)
         return ok, f"v={_vec(v)} order={order} q={q}"
 
@@ -316,7 +315,8 @@ def certify(assembly=None):
     def unit_norms():
         n1 = norm_real_subfield(real_subfield(u1))
         n2 = norm_real_subfield(real_subfield(u2))
-        return abs(n1) == 1 and abs(n2) == 1, f"N(u1)={n1} N(u2)={n2}"
+        ok = abs(n1) == 1 and abs(n2) == 1 and a == u1 * u2 * a_prime
+        return ok, f"N(u1)={n1} N(u2)={n2}"
 
     run("element.unit_factors", unit_norms)
 
@@ -372,8 +372,8 @@ def certify(assembly=None):
         g = glue_group(l2)
         v = tuple(Fraction(c, 5) for c in TWISTED_FIVE_GENERATOR_NUMERATORS)
         norm = l2.bilinear(v, v)
-        order = g.class_order(g.classify(v))
-        q = g.quadratic(v)
+        coords = g.classify(v)
+        order, q = g.class_order(coords), g.quadratic(coords)
         ok = (
             g.lattice.in_dual(v)
             and norm == Fraction(-142, 5)

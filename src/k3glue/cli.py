@@ -57,13 +57,15 @@ def _cmd_lattice_info(args):
         out.append(
             f"generator {j} lift (" + ",".join(str(c) for c in lift) + ")"
         )
-    for i in range(len(group.orders)):
-        for j in range(i, len(group.orders)):
-            v = group.bilinear(group.lifts[i], group.lifts[j])
+    k = len(group.orders)
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            v = group.bilinear(units[i], units[j])
             out.append(f"torsion_b {i + 1} {j + 1} {v.value} mod 1")
     if lattice.is_even():
-        for i in range(len(group.orders)):
-            v = group.quadratic(group.lifts[i])
+        for i in range(k):
+            v = group.quadratic(units[i])
             out.append(f"torsion_q {i + 1} {v.value} mod 2")
     if isometry is not None:
         out.append(f"isometry_charpoly {isometry.charpoly()}")

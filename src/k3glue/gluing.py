@@ -203,9 +203,8 @@ class GlueMap:
         return pairs
 
     def matches_classes(self, x, y):
-        """Whether gamma sends the class of x to the class of y, exactly."""
-        if not self.components:
-            return True
+        """Whether gamma sends the class of x to the class of y, exactly;
+        ValueError when x or y is not a dual vector."""
         full1, full2 = self.group1.classify(x), self.group2.classify(y)
         return all(
             gc.image_coords(gc.comp1.project(full1)) == gc.comp2.project(full2)
@@ -218,8 +217,9 @@ def _pair_num(comp, coords_a, coords_b, p):
     return int(comp.bilinear(coords_a, coords_b).value * p) % p
 
 
-def _verify_component(g1, g2, action1, action2, gc):
-    """Anti-isometry on generators and pairwise sums, plus equivariance."""
+def _verify_component(action1, action2, gc):
+    """Anti-isometry on generators and pairwise sums, plus equivariance
+    gamma A1 = A2 gamma on the Sylow action matrices."""
     k = len(gc.comp1.orders)
     basis = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
     probes = list(basis)
@@ -231,12 +231,10 @@ def _verify_component(g1, g2, action1, action2, gc):
         q = gc.comp1.quadratic(coords).value + gc.comp2.quadratic(image).value
         if q % 2 != 0:
             return "form mismatch"
-    for j in range(k):
-        tx = action1.isometry.apply(gc.comp1.lifts[j])
-        left = gc.image_coords(gc.comp1.project(g1.classify(tx)))
-        y = gc.comp2.lift_of(gc.image_coords(basis[j]))
-        right = gc.comp2.project(g2.classify(action2.isometry.apply(y)))
-        if left != right:
+    left = gc.matrix @ action1.sylow_matrix(gc.comp1)
+    right = action2.sylow_matrix(gc.comp2) @ gc.matrix
+    for row_l, row_r, d in zip(left.data, right.data, gc.comp2.orders):
+        if any((a - b) % d for a, b in zip(row_l, row_r)):
             return "equivariance mismatch"
     return None
 
@@ -317,7 +315,7 @@ def _find_eigen(action1, action2, comp1, comp2, p):
     return IntMatrix([[m[i, j] * inv % p for j in range(2)] for i in range(2)])
 
 
-def _find_exhaustive(g1, g2, action1, action2, comp1, comp2):
+def _find_exhaustive(action1, action2, comp1, comp2):
     size = math.prod(comp1.orders)
     if size > 10**4:
         raise NoGlueMapError(
@@ -351,7 +349,7 @@ def _find_exhaustive(g1, g2, action1, action2, comp1, comp2):
             if len(images) != size:
                 return None
             form_only_found = True
-            if _verify_component(g1, g2, action1, action2, gc) is None:
+            if _verify_component(action1, action2, gc) is None:
                 return gc.matrix
             return None
         for cand in elements:
@@ -402,9 +400,9 @@ def find_glue_map(group1, group2, action1, action2):
             if len(comp1.orders) == 2 and comp1.killed_by_p and p % 2 == 1:
                 matrix = _find_eigen(action1, action2, comp1, comp2, p)
             if matrix is None:
-                matrix = _find_exhaustive(group1, group2, action1, action2, comp1, comp2)
+                matrix = _find_exhaustive(action1, action2, comp1, comp2)
         gc = GlueComponent(p, matrix, comp1, comp2)
-        bad = _verify_component(group1, group2, action1, action2, gc)
+        bad = _verify_component(action1, action2, gc)
         if bad is not None:
             raise AssertionError(f"constructed glue component fails verification: {bad}")
         components.append(gc)
@@ -415,7 +413,7 @@ def verify_glue_map(gmap, action1, action2):
     """Re-run every component check; None when clean, else the first
     obstruction as "<prime>: <what failed>"."""
     for gc in gmap.components:
-        bad = _verify_component(gmap.group1, gmap.group2, action1, action2, gc)
+        bad = _verify_component(action1, action2, gc)
         if bad is not None:
             return f"{gc.prime}: {bad}"
     return None
@@ -441,6 +439,9 @@ def glue(l1, l2, gmap):
     The ambient basis is the HNF of the stacked generators (L1 basis,
     L2 basis, graph lifts), so the output Gram matrix is canonical.
     """
+    # the glue groups' classify is the dual-membership check below
+    if gmap.group1.lattice != l1 or gmap.group2.lattice != l2:
+        raise ValueError("glue map does not belong to the given lattices")
     n1, n = l1.rank, l1.rank + l2.rank
     rows = list(IntMatrix.identity(n).data) + [x + y for x, y in gmap.graph_pairs()]
     stacked, scale = common_denominator(rows)
@@ -452,9 +453,11 @@ def glue(l1, l2, gmap):
     for row in basis.data:
         x = [Fraction(c, scale) for c in row[:n1]]
         y = [Fraction(c, scale) for c in row[n1:]]
-        if not (l1.in_dual(x) and l2.in_dual(y)):
-            raise AssertionError("ambient basis vector outside the dual sum")
-        if not gmap.matches_classes(x, y):
+        try:
+            matched = gmap.matches_classes(x, y)
+        except ValueError:
+            raise AssertionError("ambient basis vector outside the dual sum") from None
+        if not matched:
             raise AssertionError("ambient basis vector violates the glue condition")
 
     gram = basis @ block_diagonal(l1.gram, l2.gram) @ basis.transpose()

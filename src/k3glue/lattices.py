@@ -3,7 +3,7 @@ isometries and their induced actions on the glue group, twists, and
 sublattice operations (orthogonal complements, primitivity)."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import factorize
@@ -104,121 +104,19 @@ class TorsionValue:
     value: Fraction
     modulus: int
 
-    @classmethod
-    def reduce(cls, value, modulus):
-        return cls(Fraction(value) % modulus, modulus)
-
     def __str__(self):
         return f"{self.value} mod {self.modulus}"
 
 
-class GlueGroup:
-    """G(L) = L^dual / L, presented by cyclic orders and generator lifts.
+@dataclass(frozen=True, eq=False)
+class _FormTable:
+    """A finite group on cyclic generators with generator lifts in
+    L (x) Q, every coordinate reduced into [0, 1), and its discriminant
+    form on those generators as a table of numerators over one
+    denominator. Classes are coordinate tuples on the generators."""
 
-    orders are the elementary divisors > 1 of the Gram matrix, in
-    divisibility order; lifts[j] is a representative of the j-th
-    generator in L (x) Q, every coordinate reduced into [0, 1).
-    """
-
-    def __init__(self, lattice, orders, lifts):
-        self.lattice = lattice
-        self.orders = tuple(orders)
-        self.lifts = tuple(tuple(x) for x in lifts)
-        self.order = math.prod(self.orders) if self.orders else 1
-        self.prime_support = tuple(sorted(factorize(self.order))) if self.orders else ()
-
-    def is_trivial(self):
-        return not self.orders
-
-    def classify(self, y):
-        """Coordinates of the class of a dual vector on the generators."""
-        gy = _matvec(self.lattice.gram, y)
-        if any(c.denominator != 1 for c in gy):
-            raise ValueError("vector is not in the dual lattice")
-        snf = self._snf()
-        full = _matvec(snf.U, [int(c) for c in gy])
-        return tuple(
-            int(full[i]) % d for i, d in enumerate(snf.diagonal) if d > 1
-        )
-
-    def lift_of(self, coords):
-        """A dual representative of the class with the given coordinates."""
-        return _lift_of(self.lifts, coords)
-
-    def class_order(self, coords):
-        return _class_order(self.orders, coords)
-
-    def bilinear(self, x, y):
-        """Torsion bilinear value b(x, y) mod 1 for dual representatives."""
-        for v in (x, y):
-            if not self.lattice.in_dual(v):
-                raise ValueError("vector is not in the dual lattice")
-        return TorsionValue.reduce(self.lattice.bilinear(x, y), 1)
-
-    def quadratic(self, x):
-        """Torsion quadratic value b(x, x) mod 2, even lattices only."""
-        if not self.lattice.is_even():
-            raise ValueError("quadratic torsion form needs an even lattice")
-        if not self.lattice.in_dual(x):
-            raise ValueError("vector is not in the dual lattice")
-        return TorsionValue.reduce(self.lattice.bilinear(x, x), 2)
-
-    def _snf(self):
-        if "snf" not in self.lattice._cache:
-            self.lattice._cache["snf"] = smith_normal_form(self.lattice.gram)
-        return self.lattice._cache["snf"]
-
-    def __repr__(self):
-        return f"GlueGroup(orders={self.orders})"
-
-
-def _lift_of(lifts, coords):
-    """sum_j coords[j] * lifts[j], every coordinate reduced into [0, 1)."""
-    acc = [Fraction(0)] * len(lifts[0])
-    for c, lift in zip(coords, lifts):
-        for i, x in enumerate(lift):
-            acc[i] += c * x
-    return _vec_mod1(acc)
-
-
-def _class_order(orders, coords):
-    """Order of the element with the given coordinates on cyclic generators."""
-    o = 1
-    for c, d in zip(coords, orders):
-        o = math.lcm(o, d // math.gcd(d, c))
-    return o
-
-
-def glue_group(lattice):
-    """Glue group of a lattice, generators derived from the SNF transforms."""
-    if "glue" in lattice._cache:
-        return lattice._cache["glue"]
-    snf = lattice._cache.setdefault("snf", smith_normal_form(lattice.gram))
-    orders, lifts = [], []
-    for i, d in enumerate(snf.diagonal):
-        if d > 1:
-            col = snf.V.col(i)
-            lifts.append(_vec_mod1(Fraction(c, d) for c in col))
-            orders.append(d)
-    group = GlueGroup(lattice, orders, lifts)
-    lattice._cache["glue"] = group
-    return group
-
-
-@dataclass(frozen=True)
-class SylowComponent:
-    """p-part of a glue group: generator lifts with p-power orders, and
-    the discriminant form on those generators as a table of numerators
-    over one denominator."""
-
-    prime: int
     orders: tuple
     lifts: tuple
-    gen_indices: tuple  # which glue-group generators contribute
-    killed_by_p: bool
-    #: unscale[k] inverts, mod orders[k], the cofactor that scaled
-    #: glue-group generator gen_indices[k] into this component
-    unscale: tuple
     den: int  # one denominator for the whole form table
     #: pair_nums[i][j] / den = b(x_i, x_j) mod 1
     pair_nums: tuple
@@ -230,11 +128,112 @@ class SylowComponent:
         return math.prod(self.orders)
 
     def lift_of(self, coords):
-        """A dual representative of the component class with these coordinates."""
-        return _lift_of(self.lifts, coords)
+        """A dual representative of the class with the given coordinates."""
+        acc = [Fraction(0)] * len(self.lifts[0])
+        for c, lift in zip(coords, self.lifts):
+            for i, x in enumerate(lift):
+                acc[i] += c * x
+        return _vec_mod1(acc)
 
     def class_order(self, coords):
-        return _class_order(self.orders, coords)
+        o = 1
+        for c, d in zip(coords, self.orders):
+            o = math.lcm(o, d // math.gcd(d, c))
+        return o
+
+    def _check(self, *classes):
+        for c in classes:
+            if len(c) != len(self.orders) or not all(isinstance(x, int) for x in c):
+                raise ValueError("a class is a tuple of integer coordinates, one per generator")
+
+    def bilinear(self, a, b):
+        """Torsion bilinear value b(a, b) mod 1 of two classes."""
+        self._check(a, b)
+        num = sum(
+            x * sum(y * n for y, n in zip(b, row)) for x, row in zip(a, self.pair_nums) if x
+        )
+        return TorsionValue(Fraction(num % self.den, self.den), 1)
+
+    def quadratic(self, c):
+        """Torsion quadratic value of a class, even lattices only:
+        q(sum c_i x_i) = sum c_i^2 q_i + 2 sum_{i<j} c_i c_j b_ij mod 2."""
+        if self.norm_nums is None:
+            raise ValueError("quadratic torsion form needs an even lattice")
+        self._check(c)
+        num = 0
+        for i, (x, row) in enumerate(zip(c, self.pair_nums)):
+            if x:
+                rest = sum(y * n for y, n in zip(c[i + 1:], row[i + 1:]))
+                num += x * (x * self.norm_nums[i] + 2 * rest)
+        return TorsionValue(Fraction(num % (2 * self.den), self.den), 2)
+
+
+@dataclass(frozen=True, eq=False)
+class GlueGroup(_FormTable):
+    """G(L) = L^dual / L. orders are the elementary divisors > 1 of the
+    Gram matrix, in divisibility order; its Sylow components are
+    computed once, by sylow_decomposition."""
+
+    lattice: Lattice
+    prime_support: tuple
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    def classify(self, y):
+        """Coordinates of the class of a dual vector on the generators."""
+        gy = _matvec(self.lattice.gram, y)
+        if any(c.denominator != 1 for c in gy):
+            raise ValueError("vector is not in the dual lattice")
+        snf = self.lattice._cache["snf"]
+        full = _matvec(snf.U, [int(c) for c in gy])
+        return tuple(
+            int(full[i]) % d for i, d in enumerate(snf.diagonal) if d > 1
+        )
+
+
+def glue_group(lattice):
+    """Glue group of a lattice, generators derived from the SNF transforms
+    and the form table from the Gram matrix X G X^T of their lifts."""
+    if "glue" in lattice._cache:
+        return lattice._cache["glue"]
+    snf = lattice._cache.setdefault("snf", smith_normal_form(lattice.gram))
+    orders, lifts = [], []
+    for i, d in enumerate(snf.diagonal):
+        if d > 1:
+            col = snf.V.col(i)
+            lifts.append(_vec_mod1(Fraction(c, d) for c in col))
+            orders.append(d)
+    if lifts:
+        x, d = common_denominator(lifts)
+        gram, den = (x @ lattice.gram @ x.transpose()).data, d * d
+    else:
+        gram, den = (), 1
+    group = GlueGroup(
+        orders=tuple(orders),
+        lifts=tuple(lifts),
+        den=den,
+        pair_nums=tuple(tuple(v % den for v in row) for row in gram),
+        norm_nums=(
+            tuple(gram[i][i] % (2 * den) for i in range(len(gram)))
+            if lattice.is_even() else None
+        ),
+        lattice=lattice,
+        prime_support=tuple(sorted(factorize(math.prod(orders)))) if orders else (),
+    )
+    lattice._cache["glue"] = group
+    return group
+
+
+@dataclass(frozen=True)
+class SylowComponent(_FormTable):
+    """p-part of a glue group: its generators are cofactor multiples of
+    glue-group generators, so every table entry is a scaled group entry."""
+
+    prime: int
+    gen_indices: tuple  # which glue-group generators contribute
+    killed_by_p: bool
+    #: unscale[k] inverts, mod orders[k], the cofactor that scaled
+    #: glue-group generator gen_indices[k] into this component
+    unscale: tuple
 
     def project(self, full):
         """Coordinates of the p-part of a class given by its glue-group
@@ -243,69 +242,47 @@ class SylowComponent:
             full[j] * u % d for j, u, d in zip(self.gen_indices, self.unscale, self.orders)
         )
 
-    def bilinear(self, a, b):
-        """Torsion bilinear value of two component classes, from the table."""
-        k = len(self.orders)
-        num = sum(
-            a[i] * b[j] * self.pair_nums[i][j] for i in range(k) for j in range(k)
-        )
-        return TorsionValue(Fraction(num % self.den, self.den), 1)
-
-    def quadratic(self, c):
-        """Torsion quadratic value of a component class, from the table:
-        q(sum c_i x_i) = sum c_i^2 q_i + 2 sum_{i<j} c_i c_j b_ij mod 2."""
-        if self.norm_nums is None:
-            raise ValueError("quadratic torsion form needs an even lattice")
-        k = len(self.orders)
-        num = sum(c[i] * c[i] * self.norm_nums[i] for i in range(k))
-        num += 2 * sum(
-            c[i] * c[j] * self.pair_nums[i][j] for i in range(k) for j in range(i + 1, k)
-        )
-        return TorsionValue(Fraction(num % (2 * self.den), self.den), 2)
-
 
 def sylow_decomposition(group):
-    """Sylow components of a glue group, ordered by prime."""
-    lattice = group.lattice
-    comps = []
+    """Sylow components of a glue group, ordered by prime; computed once
+    per group. With x'_k = cof_k x_j the tables scale:
+    b(x'_k, x'_l) = cof_k cof_l b_jl mod 1 and q(x'_k) = cof_k^2 q_j mod 2."""
+    if "sylow" in group._cache:
+        return group._cache["sylow"]
+    den, comps = group.den, []
     for p in group.prime_support:
-        orders, lifts, idx, unscale = [], [], [], []
+        orders, lifts, idx, cofs = [], [], [], []
         for j, d in enumerate(group.orders):
-            e = 0
-            dd = d
-            while dd % p == 0:
-                dd //= p
-                e += 1
-            if e == 0:
+            if d % p:
                 continue
-            cofactor = d // p**e
-            lift = _vec_mod1(cofactor * Fraction(x) for x in group.lifts[j])
-            orders.append(p**e)
-            lifts.append(lift)
+            cof = d
+            while cof % p == 0:
+                cof //= p
+            orders.append(d // cof)
+            lifts.append(_vec_mod1(cof * Fraction(x) for x in group.lifts[j]))
             idx.append(j)
-            unscale.append(pow(cofactor, -1, p**e))
-        # the Gram matrix of the lifts, X G X^T over the square of their
-        # common denominator, holds every table entry
-        x, d = common_denominator(lifts)
-        gram = (x @ lattice.gram @ x.transpose()).data
-        den = d * d
+            cofs.append(cof)
         comps.append(
             SylowComponent(
-                prime=p,
                 orders=tuple(orders),
                 lifts=tuple(lifts),
+                den=den,
+                pair_nums=tuple(
+                    tuple(group.pair_nums[j][l] * cj * cl % den for l, cl in zip(idx, cofs))
+                    for j, cj in zip(idx, cofs)
+                ),
+                norm_nums=(
+                    None if group.norm_nums is None
+                    else tuple(group.norm_nums[j] * c * c % (2 * den) for j, c in zip(idx, cofs))
+                ),
+                prime=p,
                 gen_indices=tuple(idx),
                 killed_by_p=all(o == p for o in orders),
-                unscale=tuple(unscale),
-                den=den,
-                pair_nums=tuple(tuple(v % den for v in row) for row in gram),
-                norm_nums=(
-                    tuple(gram[i][i] % (2 * den) for i in range(len(gram)))
-                    if lattice.is_even() else None
-                ),
+                unscale=tuple(pow(c, -1, o) for c, o in zip(cofs, orders)),
             )
         )
-    return comps
+    group._cache["sylow"] = tuple(comps)
+    return group._cache["sylow"]
 
 
 @dataclass(frozen=True)
@@ -335,7 +312,8 @@ def check_isometry(lattice, matrix):
 
 
 class GlueAction:
-    """Automorphism of the glue group induced by an isometry."""
+    """Automorphism of the glue group induced by an isometry; `matrix`
+    column j holds the class of the image of generator j."""
 
     def __init__(self, isometry, group):
         self.isometry = isometry
@@ -346,18 +324,16 @@ class GlueAction:
         else:
             self.matrix = None
 
-    def apply(self, coords):
-        if self.matrix is None:
-            return ()
-        out = _matvec(self.matrix, coords)
-        return tuple(int(c) % d for c, d in zip(out, self.glue.orders))
-
     def sylow_matrix(self, comp):
         """Action on the generators of one Sylow component, mod its orders.
 
-        Column k expresses the image of the k-th component generator.
+        Column k expresses the image of the k-th component generator
+        cof_k x_j, read from column j of `matrix` scaled by cof_k.
         """
-        cols = [comp.project(self.glue.classify(self.isometry.apply(lift))) for lift in comp.lifts]
+        cols = [
+            comp.project([self.glue.orders[j] // d * c for c in self.matrix.col(j)])
+            for j, d in zip(comp.gen_indices, comp.orders)
+        ]
         return IntMatrix(cols).transpose()
 
     def charpoly_mod_p(self, comp):

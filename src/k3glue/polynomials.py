@@ -111,10 +111,6 @@ class IntPoly:
             return self
         return IntPoly([x // c for x in self.coeffs])
 
-    def is_self_reciprocal(self):
-        """True iff the coefficient tuple is a palindrome."""
-        return self.coeffs == tuple(reversed(self.coeffs))
-
     def __repr__(self):
         return f"IntPoly({list(self.coeffs)})"
 

@@ -135,10 +135,11 @@ def test_glue_invariants_are_the_exact_claimed_values(assembly):
         return next(k for k in range(1, 6) if all((k * c).denominator == 1 for c in v))
 
     assert class_order_of(FIVE_GEN_L1) == 5
-    assert gmap.group1.quadratic(FIVE_GEN_L1).value == Fraction(2, 5)
+    g1, g2 = gmap.group1, gmap.group2
+    assert g1.quadratic(g1.classify(FIVE_GEN_L1)).value == Fraction(2, 5)
     assert class_order_of(FIVE_GEN_L2) == 5
     assert assembly.lattice2.bilinear(FIVE_GEN_L2, FIVE_GEN_L2) == Fraction(-142, 5)
-    assert gmap.group2.quadratic(FIVE_GEN_L2).value == Fraction(8, 5)  # -2/5 mod 2
+    assert g2.quadratic(g2.classify(FIVE_GEN_L2)).value == Fraction(8, 5)  # -2/5 mod 2
 
     a1 = induced_glue_action(assembly.isometry1)
     a2 = induced_glue_action(assembly.isometry2)
@@ -209,13 +210,14 @@ def test_random_suites_and_corruption_isolation():
     group = glue_group(l1)
     action = induced_glue_action(t1)
 
-    def image(v):
-        return group.lift_of(action.apply(group.classify(v)))
-
-    for x in group.lifts:
-        for y in group.lifts:
-            assert group.bilinear(image(x), image(y)) == group.bilinear(x, y)
-        assert group.quadratic(image(x)) == group.quadratic(x)
+    # image classes of the generators, by classifying the isometry's images
+    units = [tuple(int(i == j) for j in range(len(group.orders))) for i in range(len(group.orders))]
+    images = [group.classify(t1.apply(x)) for x in group.lifts]
+    assert images == [action.matrix.col(j) for j in range(len(images))]
+    for i, x in enumerate(images):
+        for j, y in enumerate(images):
+            assert group.bilinear(x, y) == group.bilinear(units[i], units[j])
+        assert group.quadratic(x) == group.quadratic(units[i])
 
     twisted = twist(t1, IntPoly([3]))
     assert twisted.det == 3 ** l1.rank * l1.det
@@ -235,9 +237,10 @@ def test_random_suites_and_corruption_isolation():
         if gc.prime != 5:
             components.append(gc)
             continue
+        g1, g2 = gmap.group1, gmap.group2
         valid = anti_isometry_scalars(
-            gmap.group1.quadratic(gc.comp1.lifts[0]),
-            gmap.group2.quadratic(gc.comp2.lifts[0]),
+            g1.quadratic(g1.classify(gc.comp1.lifts[0])),
+            g2.quadratic(g2.classify(gc.comp2.lifts[0])),
             5,
         )
         bad = next(c for c in range(1, 5) if c not in valid)

@@ -133,9 +133,10 @@ def test_glue_scalar_corruption_fails_only_glue_map():
         if gc.prime != 5:
             components.append(gc)
             continue
+        g1, g2 = gmap.group1, gmap.group2
         valid = anti_isometry_scalars(
-            gmap.group1.quadratic(gc.comp1.lifts[0]),
-            gmap.group2.quadratic(gc.comp2.lifts[0]),
+            g1.quadratic(g1.classify(gc.comp1.lifts[0])),
+            g2.quadratic(g2.classify(gc.comp2.lifts[0])),
             5,
         )
         assert gc.matrix[0, 0] in valid
@@ -144,6 +145,15 @@ def test_glue_scalar_corruption_fails_only_glue_map():
     assembly.glue_map = GlueMap(gmap.group1, gmap.group2, components)
     report = certify(assembly)
     assert [c.claim for c in report.failures()] == ["K3.glue_map"]
+
+
+def test_twist_factor_corruption_fails_only_unit_factors():
+    # u1 + 1 and -u2 keep unit norms; only a = u1 * u2 * a' catches them
+    for name, corrupt in (("u1", lambda u: u + 1), ("u2", lambda u: -1 * u)):
+        assembly = assemble_k3()
+        assembly.parts = dict(assembly.parts, **{name: corrupt(assembly.parts[name])})
+        report = certify(assembly)
+        assert {c.claim for c in report.failures()} == {"element.unit_factors"}, name
 
 
 def test_certify_swallows_probe_exceptions_into_failures():

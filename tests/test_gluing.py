@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from functools import reduce
@@ -29,7 +30,7 @@ from k3glue.matrices import IntMatrix, block_diagonal, solve_rational
 
 
 def tv(value):
-    return TorsionValue.reduce(Fraction(value), 2)
+    return TorsionValue(Fraction(value) % 2, 2)
 
 
 def identity_action(lattice):
@@ -52,7 +53,7 @@ def test_anti_isometry_scalars():
     assert anti_isometry_scalars(tv(Fraction(1, 2)), tv(Fraction(1, 2)), 2) == ()
     assert anti_isometry_scalars(tv(Fraction(1, 2)), tv(Fraction(3, 2)), 2) == (1,)
     with pytest.raises(ValueError):
-        anti_isometry_scalars(TorsionValue.reduce(Fraction(1, 2), 1), tv(1), 2)
+        anti_isometry_scalars(TorsionValue(Fraction(1, 2), 1), tv(1), 2)
 
 
 def test_toy_glue_rank_one():
@@ -148,8 +149,9 @@ def test_graph_pairs_and_matches_classes():
         assert l1.in_dual(x) and l2.in_dual(y)
         assert gmap.matches_classes(x, y)
         # the pairing must be anti-isometric on the graph
-        q1 = glue_group(l1).quadratic(x).value
-        q2 = glue_group(l2).quadratic(y).value
+        g1, g2 = glue_group(l1), glue_group(l2)
+        q1 = g1.quadratic(g1.classify(x)).value
+        q2 = g2.quadratic(g2.classify(y)).value
         assert (q1 + q2) % 2 == 0
     assert not gmap.matches_classes((Fraction(1, 6),), (Fraction(5, 6),))
 
@@ -161,9 +163,10 @@ def test_verify_glue_map_detects_corruption():
     assert verify_glue_map(gmap, a1, a2) is None
     assert [gc.prime for gc in gmap.components] == [2, 5]
     gc = next(c for c in gmap.components if c.prime == 5)
+    g1, g2 = glue_group(l1), glue_group(l2)
     valid = anti_isometry_scalars(
-        glue_group(l1).quadratic(gc.comp1.lifts[0]),
-        glue_group(l2).quadratic(gc.comp2.lifts[0]),
+        g1.quadratic(g1.classify(gc.comp1.lifts[0])),
+        g2.quadratic(g2.classify(gc.comp2.lifts[0])),
         5,
     )
     bad_scalar = next(c for c in range(1, 5) if c not in valid)
@@ -291,26 +294,74 @@ def test_eigen_split_matches_brute_force():
 
 
 def test_sylow_tables_match_the_torsion_form():
+    # oracle: the lattice's own form on lifts summed here, mod 1 and mod 2
     rng = random.Random(61)
     grams = [
         [[2]], [[6]], [[4, 1], [1, 4]], [[2, 0], [0, 6]], [[12, 6], [6, 30]],
         [[6002, 3001], [3001, -6002]], [[8, 0, 0], [0, 4, 2], [0, 2, 18]],
+        [[3]], [[1, 0], [0, 6]], [[3, 1], [1, 5]], [[0, 1], [1, 0]], [[1]],
     ]
     for gram in grams:
-        group = glue_group(Lattice(gram))
-        for comp in sylow_decomposition(group):
+        lat = Lattice(gram)
+        group = glue_group(lat)
+        comps = sylow_decomposition(group)
+        assert comps is sylow_decomposition(group)  # computed once per group
+        assert [c.prime for c in comps] == list(group.prime_support)
+        if not group.orders:
+            assert comps == ()
+            assert group.bilinear((), ()).value == 0
+            if lat.is_even():
+                assert group.quadratic(()).value == 0
+            continue
+        for table in (group, *comps):
             for _ in range(20):
-                c = tuple(rng.randrange(d) for d in comp.orders)
-                e = tuple(rng.randrange(d) for d in comp.orders)
-                x, y = comp.lift_of(c), comp.lift_of(e)
-                assert comp.quadratic(c) == group.quadratic(x)
-                assert comp.bilinear(c, e) == group.bilinear(x, y)
-                assert comp.project(group.classify(x)) == c
-    odd = glue_group(Lattice([[3]]))
-    (comp,) = sylow_decomposition(odd)
-    assert comp.bilinear((1,), (1,)) == odd.bilinear(comp.lifts[0], comp.lifts[0])
-    with pytest.raises(ValueError, match="even"):
-        comp.quadratic((1,))
+                c = tuple(rng.randrange(d) for d in table.orders)
+                e = tuple(rng.randrange(d) for d in table.orders)
+                x, y = (
+                    [sum(ci * lift[k] for ci, lift in zip(coords, table.lifts)) for k in range(lat.rank)]
+                    for coords in (c, e)
+                )
+                assert table.bilinear(c, e).value == lat.bilinear(x, y) % 1
+                if lat.is_even():
+                    assert table.quadratic(c).value == lat.bilinear(x, x) % 2
+                else:
+                    with pytest.raises(ValueError, match="even"):
+                        table.quadratic(c)
+                if table is not group:
+                    assert table.project(group.classify(table.lift_of(c))) == c
+
+
+def test_sylow_matrix_matches_classified_images():
+    rng = random.Random(71)
+    cases = [(Lattice([[6002, 3001], [3001, -6002]]), IntMatrix([[1, 1], [1, 2]]))]
+    for rank in (3, 4, 5, 6):
+        p = next(q for q in range(rng.randrange(10, 10**4), 10**5) if factorize(q) == {q: 1})
+        cases.append(_random_even_lattice(rng, rank, p))
+    for lat, tmat in cases:
+        iso = check_isometry(lat, tmat)
+        action = induced_glue_action(iso)
+        for comp in sylow_decomposition(action.glue):
+            m = action.sylow_matrix(comp)
+            for k, lift in enumerate(comp.lifts):
+                assert m.col(k) == comp.project(action.glue.classify(iso.apply(lift)))
+
+
+def test_glue_rejects_a_graph_lift_outside_the_dual():
+    l1, l2 = Lattice([[2]]), Lattice([[-2]])
+    gmap, _ = glue_with_identities(l1, l2)
+    (gc,) = gmap.components
+    # 1/4 pairs to 1/2 with the generator of [[2]]: not a dual vector
+    comp1 = dataclasses.replace(gc.comp1, lifts=((Fraction(1, 4),),))
+    bad = GlueMap(gmap.group1, gmap.group2, [dataclasses.replace(gc, comp1=comp1)])
+    with pytest.raises(AssertionError, match="outside the dual sum"):
+        glue(l1, l2, bad)
+    with pytest.raises(ValueError, match="does not belong"):
+        glue(l1, Lattice([[-6]]), gmap)
+    # unimodular summands are classified too: their dual is the lattice
+    h = Lattice([[0, 1], [1, 0]])
+    trivial = GlueMap(glue_group(h), glue_group(h), [])
+    with pytest.raises(ValueError, match="dual"):
+        trivial.matches_classes((Fraction(1, 2), 0), (0, 0))
 
 
 def _unimodular(rng, n):

@@ -58,7 +58,7 @@ def test_bilinear_and_dual_membership():
 
 
 def test_glue_group_structure():
-    assert glue_group(Lattice([[0, 1], [1, 0]])).is_trivial()
+    assert glue_group(Lattice([[0, 1], [1, 0]])).orders == ()
     g = glue_group(Lattice([[2]]))
     assert g.orders == (2,)
     assert g.order == 2
@@ -89,17 +89,24 @@ def test_classify_lift_round_trip():
 
 def test_torsion_values():
     g = glue_group(Lattice([[2]]))
-    q = g.quadratic((Fraction(1, 2),))
+    half = g.classify((Fraction(1, 2),))
+    q = g.quadratic(half)
     assert (q.value, q.modulus) == (Fraction(1, 2), 2)
-    b = g.bilinear((Fraction(1, 2),), (Fraction(1, 2),))
+    b = g.bilinear(half, half)
     assert (b.value, b.modulus) == (Fraction(1, 2), 1)
     g6 = glue_group(Lattice([[6]]))
-    assert g6.quadratic((Fraction(1, 6),)).value == Fraction(1, 6)
-    assert g6.quadratic((Fraction(5, 6),)).value == Fraction(25, 6) % 2
+    assert g6.quadratic(g6.classify((Fraction(1, 6),))).value == Fraction(1, 6)
+    assert g6.quadratic(g6.classify((Fraction(5, 6),))).value == Fraction(25, 6) % 2
     with pytest.raises(ValueError):
-        glue_group(Lattice([[1]])).quadratic((0,))
+        glue_group(Lattice([[1]])).quadratic(())
     with pytest.raises(ValueError):
-        g6.quadratic((Fraction(1, 4),))
+        g6.quadratic(g6.classify((Fraction(1, 4),)))
+    # classes are integer coordinates; a dual vector is not a class
+    for bad in ((Fraction(1, 6),), (1, 0), ()):
+        with pytest.raises(ValueError, match="integer coordinates"):
+            g6.quadratic(bad)
+        with pytest.raises(ValueError, match="integer coordinates"):
+            g6.bilinear((1,), bad)
 
 
 def test_check_isometry():
@@ -154,17 +161,27 @@ def test_glue_action_preserves_torsion_forms():
         t = signed_permutation_isometry(rng, diag)
         iso = check_isometry(lat, t)
         group = glue_group(lat)
-        if group.is_trivial():
+        if not group.orders:
             continue
         action = GlueAction(iso, group)
+
+        def apply(coords):
+            return tuple(
+                sum(m * c for m, c in zip(row, coords)) % d
+                for row, d in zip(action.matrix.data, group.orders)
+            )
+
         for _ in range(5):
             x = tuple(rng.randrange(d) for d in group.orders)
             y = tuple(rng.randrange(d) for d in group.orders)
-            gx, gy = action.apply(x), action.apply(y)
-            bx = group.bilinear(group.lift_of(x), group.lift_of(y))
-            bgx = group.bilinear(group.lift_of(gx), group.lift_of(gy))
-            assert bx == bgx
-            assert group.quadratic(group.lift_of(x)) == group.quadratic(group.lift_of(gx))
+            gx, gy = apply(x), apply(y)
+            assert gx == group.classify(iso.apply(group.lift_of(x)))
+            # the lattice's own form on lifts is the oracle
+            lx, ly, lgx, lgy = (group.lift_of(c) for c in (x, y, gx, gy))
+            assert lat.bilinear(lx, ly) % 1 == lat.bilinear(lgx, lgy) % 1
+            assert lat.bilinear(lx, lx) % 2 == lat.bilinear(lgx, lgx) % 2
+            assert group.bilinear(gx, gy) == group.bilinear(x, y)
+            assert group.quadratic(gx) == group.quadratic(x)
             assert group.class_order(x) == group.class_order(gx)
 
 

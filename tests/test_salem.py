@@ -64,7 +64,7 @@ def test_the_pipeline_shape_passes_the_filter():
     assert r.passed
     f = full_polynomial(c)
     assert f.degree == 22
-    assert f.is_self_reciprocal()
+    assert f.coeffs == tuple(reversed(f.coeffs))
 
 
 def test_filter_and_closed_form_agree():
