@@ -46,8 +46,8 @@ SALEM_FACTOR = IntPoly([1, -3, 1])
 
 L1_GRAM = ((6002, 3001), (3001, -6002))
 L1_ISOMETRY = ((1, 1), (1, 2))
-#: dual vector generating the 5-part of the rank-2 lattice's glue group
-L1_FIVE_GENERATOR = (Fraction(2, 5), Fraction(1, 5))
+#: numerators over 5 of the dual vector generating the rank-2 lattice's 5-part
+L1_FIVE_GENERATOR_NUMERATORS = (2, 1)
 
 #: first Gram row of the twisted lattice; the whole matrix is Toeplitz
 TWISTED_GRAM_ROW = (
@@ -90,9 +90,6 @@ class CertificationReport:
 
     def failures(self):
         return tuple(c for c in self.checks if not c.passed)
-
-    def claims(self):
-        return tuple(c.claim for c in self.checks)
 
     def to_machine(self):
         """Key-value document, one check per line, byte-deterministic."""
@@ -258,11 +255,11 @@ def certify(assembly=None):
 
     def l1_generator():
         g = glue_group(l1)
-        v = L1_FIVE_GENERATOR
-        coords = g.classify(v)
+        v = L1_FIVE_GENERATOR_NUMERATORS
+        coords = g.classify(v, 5)
         order, q = g.class_order(coords), g.quadratic(coords)
-        ok = g.lattice.in_dual(v) and order == 5 and q.value == Fraction(2, 5)
-        return ok, f"v={_vec(v)} order={order} q={q}"
+        ok = g.lattice.in_dual(v, 5) and order == 5 and q.value == Fraction(2, 5)
+        return ok, f"v={_vec(Fraction(c, 5) for c in v)} order={order} q={q}"
 
     run("L1.glue.5part.generator", l1_generator)
 
@@ -370,12 +367,12 @@ def certify(assembly=None):
 
     def l2_generator():
         g = glue_group(l2)
-        v = tuple(Fraction(c, 5) for c in TWISTED_FIVE_GENERATOR_NUMERATORS)
-        norm = l2.bilinear(v, v)
-        coords = g.classify(v)
+        v = TWISTED_FIVE_GENERATOR_NUMERATORS
+        norm = Fraction(l2.bilinear(v, v), 25)
+        coords = g.classify(v, 5)
         order, q = g.class_order(coords), g.quadratic(coords)
         ok = (
-            g.lattice.in_dual(v)
+            g.lattice.in_dual(v, 5)
             and norm == Fraction(-142, 5)
             and order == 5
             and q.value == Fraction(8, 5)  # -2/5 mod 2

@@ -55,7 +55,8 @@ def _cmd_lattice_info(args):
     out.append("glue_orders (" + ",".join(str(d) for d in group.orders) + ")")
     for j, lift in enumerate(group.lifts, start=1):
         out.append(
-            f"generator {j} lift (" + ",".join(str(c) for c in lift) + ")"
+            f"generator {j} lift ("
+            + ",".join(str(Fraction(c, group.lift_den)) for c in lift) + ")"
         )
     k = len(group.orders)
     units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
@@ -160,7 +161,7 @@ def _int_list(text):
     for tok in text.split(","):
         tok = tok.strip()
         body = tok[1:] if tok.startswith("-") else tok
-        if not body.isdigit():
+        if not (body.isascii() and body.isdigit()):
             raise argparse.ArgumentTypeError(f"{tok!r} is not an integer")
         out.append(int(tok))
     if not out:

@@ -11,7 +11,6 @@ All choices are deterministic.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .arith import factorize
@@ -23,7 +22,6 @@ from .lattices import (
 from .matrices import (
     IntMatrix,
     block_diagonal,
-    common_denominator,
     det,
     exact_quotient,
     hermite_normal_form,
@@ -191,21 +189,26 @@ class GlueMap:
         self.group2 = group2
         self.components = tuple(components)
 
-    def graph_pairs(self):
-        """(x, gamma x) dual-lift pairs generating the graph of the map."""
-        pairs = []
+    def graph_rows(self, den):
+        """Numerators over den of the rows (x | gamma x), dual lifts that
+        generate the graph of the map; den must be a multiple of every
+        component's lift_den."""
+        rows = []
         for gc in self.components:
+            s1, s2 = den // gc.comp1.lift_den, den // gc.comp2.lift_den
             k = len(gc.comp1.orders)
             for j in range(k):
-                coords = tuple(1 if i == j else 0 for i in range(k))
-                image = gc.image_coords(coords)
-                pairs.append((gc.comp1.lifts[j], gc.comp2.lift_of(image)))
-        return pairs
+                image = gc.image_coords(tuple(int(i == j) for i in range(k)))
+                rows.append(
+                    tuple(s1 * c for c in gc.comp1.lifts[j])
+                    + tuple(s2 * c for c in gc.comp2.lift_of(image))
+                )
+        return rows
 
-    def matches_classes(self, x, y):
-        """Whether gamma sends the class of x to the class of y, exactly;
-        ValueError when x or y is not a dual vector."""
-        full1, full2 = self.group1.classify(x), self.group2.classify(y)
+    def matches_classes(self, x, y, den):
+        """Whether gamma sends the class of x / den to the class of
+        y / den, exactly; ValueError when either is not a dual vector."""
+        full1, full2 = self.group1.classify(x, den), self.group2.classify(y, den)
         return all(
             gc.image_coords(gc.comp1.project(full1)) == gc.comp2.project(full2)
             for gc in self.components
@@ -437,24 +440,24 @@ def glue(l1, l2, gmap):
     """Even unimodular overlattice of L1 (+) L2 along a glue map.
 
     The ambient basis is the HNF of the stacked generators (L1 basis,
-    L2 basis, graph lifts), so the output Gram matrix is canonical.
+    L2 basis, graph lifts, all as numerators over one scale), so the
+    output Gram matrix is canonical.
     """
     # the glue groups' classify is the dual-membership check below
     if gmap.group1.lattice != l1 or gmap.group2.lattice != l2:
         raise ValueError("glue map does not belong to the given lattices")
     n1, n = l1.rank, l1.rank + l2.rank
-    rows = list(IntMatrix.identity(n).data) + [x + y for x, y in gmap.graph_pairs()]
-    stacked, scale = common_denominator(rows)
-    h, _ = hermite_normal_form(stacked)
+    scale = math.lcm(*(c.lift_den for gc in gmap.components for c in (gc.comp1, gc.comp2)))
+    h, _ = hermite_normal_form(
+        IntMatrix((scale * IntMatrix.identity(n)).data + tuple(gmap.graph_rows(scale)))
+    )
     if any(any(row) for row in h.data[n:]):
         raise AssertionError("generator stack has rank above the ambient rank")
     basis = IntMatrix(h.data[:n])
 
     for row in basis.data:
-        x = [Fraction(c, scale) for c in row[:n1]]
-        y = [Fraction(c, scale) for c in row[n1:]]
         try:
-            matched = gmap.matches_classes(x, y)
+            matched = gmap.matches_classes(row[:n1], row[n1:], scale)
         except ValueError:
             raise AssertionError("ambient basis vector outside the dual sum") from None
         if not matched:

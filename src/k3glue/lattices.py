@@ -1,6 +1,10 @@
 """Integer lattices: invariants, glue groups with torsion forms,
 isometries and their induced actions on the glue group, twists, and
-sublattice operations (orthogonal complements, primitivity)."""
+sublattice operations (orthogonal complements, primitivity).
+
+A dual vector is the package's one rational form: a tuple of integer
+numerators over one positive denominator, passed as (nums, den).
+"""
 
 import math
 from dataclasses import dataclass, field
@@ -10,7 +14,6 @@ from .arith import factorize
 from .matrices import (
     IntMatrix,
     charpoly,
-    common_denominator,
     det,
     kernel_basis,
     poly_of_matrix,
@@ -19,20 +22,6 @@ from .matrices import (
     smith_normal_form,
     solve_rational,
 )
-
-
-def _matvec(m, v):
-    """M v for a vector of int or Fraction entries, in integers over the
-    vector's common denominator."""
-    if m.cols != len(v):
-        raise ValueError("dimension mismatch")
-    d = math.lcm(*(c.denominator for c in v))
-    x = [c.numerator * (d // c.denominator) for c in v]
-    return tuple(Fraction(sum(a * b for a, b in zip(row, x)), d) for row in m.data)
-
-
-def _vec_mod1(v):
-    return tuple(Fraction(x) % 1 for x in v)
 
 
 class Lattice:
@@ -70,13 +59,20 @@ class Lattice:
         return self._cache["signature"]
 
     def bilinear(self, x, y):
-        """b(x, y) for coordinate vectors with int or Fraction entries."""
-        gy = _matvec(self.gram, y)
-        return sum(Fraction(a) * b for a, b in zip(x, gy))
+        """b(x, y) for integer coordinate vectors."""
+        return sum(a * sum(g * b for g, b in zip(row, y)) for a, row in zip(x, self.gram.data))
 
-    def in_dual(self, y):
-        """True iff b(y, L) is integral, i.e. y represents a dual vector."""
-        return all(c.denominator == 1 for c in _matvec(self.gram, y))
+    def _dual_image(self, nums, den):
+        """G y in integers for y = nums / den, or None when y is not dual."""
+        if len(nums) != self.rank:
+            raise ValueError("dimension mismatch")
+        gy = [sum(g * c for g, c in zip(row, nums)) for row in self.gram.data]
+        return None if any(v % den for v in gy) else [v // den for v in gy]
+
+    def in_dual(self, nums, den):
+        """True iff b(y, L) is integral for y = nums / den, i.e. y
+        represents a dual vector."""
+        return self._dual_image(nums, den) is not None
 
     def invariants(self):
         return {
@@ -111,29 +107,34 @@ class TorsionValue:
 @dataclass(frozen=True, eq=False)
 class _FormTable:
     """A finite group on cyclic generators with generator lifts in
-    L (x) Q, every coordinate reduced into [0, 1), and its discriminant
-    form on those generators as a table of numerators over one
-    denominator. Classes are coordinate tuples on the generators."""
+    L (x) Q, and its discriminant form on those generators as a table
+    of numerators over one denominator. Classes are coordinate tuples
+    on the generators."""
 
     orders: tuple
+    #: integer rows in [0, lift_den); lifts[j] / lift_den lifts generator j
     lifts: tuple
-    den: int  # one denominator for the whole form table
+    lift_den: int
     #: pair_nums[i][j] / den = b(x_i, x_j) mod 1
     pair_nums: tuple
     #: norm_nums[i] / den = q(x_i) mod 2; None for an odd lattice
     norm_nums: tuple
 
     @property
+    def den(self):
+        """The one denominator of the form table."""
+        return self.lift_den * self.lift_den
+
+    @property
     def order(self):
         return math.prod(self.orders)
 
     def lift_of(self, coords):
-        """A dual representative of the class with the given coordinates."""
-        acc = [Fraction(0)] * len(self.lifts[0])
-        for c, lift in zip(coords, self.lifts):
-            for i, x in enumerate(lift):
-                acc[i] += c * x
-        return _vec_mod1(acc)
+        """Numerators over lift_den of a dual representative of the class
+        with the given coordinates."""
+        return tuple(
+            sum(c * x for c, x in zip(coords, col)) % self.lift_den for col in zip(*self.lifts)
+        )
 
     def class_order(self, coords):
         o = 1
@@ -175,18 +176,25 @@ class GlueGroup(_FormTable):
     computed once, by sylow_decomposition."""
 
     lattice: Lattice
-    prime_support: tuple
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
-    def classify(self, y):
-        """Coordinates of the class of a dual vector on the generators."""
-        gy = _matvec(self.lattice.gram, y)
-        if any(c.denominator != 1 for c in gy):
+    @property
+    def prime_support(self):
+        """Primes dividing the order, factored on first read only."""
+        if "primes" not in self._cache:
+            self._cache["primes"] = tuple(sorted(factorize(self.order))) if self.orders else ()
+        return self._cache["primes"]
+
+    def classify(self, nums, den):
+        """Coordinates on the generators of the class of the dual vector
+        nums / den; ValueError when it is not a dual vector."""
+        gy = self.lattice._dual_image(nums, den)
+        if gy is None:
             raise ValueError("vector is not in the dual lattice")
         snf = self.lattice._cache["snf"]
-        full = _matvec(snf.U, [int(c) for c in gy])
         return tuple(
-            int(full[i]) % d for i, d in enumerate(snf.diagonal) if d > 1
+            sum(u * c for u, c in zip(snf.U.row(i), gy)) % d
+            for i, d in enumerate(snf.diagonal) if d > 1
         )
 
 
@@ -196,28 +204,29 @@ def glue_group(lattice):
     if "glue" in lattice._cache:
         return lattice._cache["glue"]
     snf = lattice._cache.setdefault("snf", smith_normal_form(lattice.gram))
-    orders, lifts = [], []
-    for i, d in enumerate(snf.diagonal):
-        if d > 1:
-            col = snf.V.col(i)
-            lifts.append(_vec_mod1(Fraction(c, d) for c in col))
-            orders.append(d)
+    # the orders form a divisibility chain, so the last one (the
+    # exponent) is a denominator for every generator lift
+    orders = [d for d in snf.diagonal if d > 1]
+    lift_den = orders[-1] if orders else 1
+    lifts = [
+        tuple(c * (lift_den // d) % lift_den for c in snf.V.col(i))
+        for i, d in enumerate(snf.diagonal) if d > 1
+    ]
+    gram = ()
     if lifts:
-        x, d = common_denominator(lifts)
-        gram, den = (x @ lattice.gram @ x.transpose()).data, d * d
-    else:
-        gram, den = (), 1
+        x = IntMatrix(lifts)
+        gram = (x @ lattice.gram @ x.transpose()).data
+    den = lift_den * lift_den
     group = GlueGroup(
         orders=tuple(orders),
         lifts=tuple(lifts),
-        den=den,
+        lift_den=lift_den,
         pair_nums=tuple(tuple(v % den for v in row) for row in gram),
         norm_nums=(
             tuple(gram[i][i] % (2 * den) for i in range(len(gram)))
             if lattice.is_even() else None
         ),
         lattice=lattice,
-        prime_support=tuple(sorted(factorize(math.prod(orders)))) if orders else (),
     )
     lattice._cache["glue"] = group
     return group
@@ -249,7 +258,7 @@ def sylow_decomposition(group):
     b(x'_k, x'_l) = cof_k cof_l b_jl mod 1 and q(x'_k) = cof_k^2 q_j mod 2."""
     if "sylow" in group._cache:
         return group._cache["sylow"]
-    den, comps = group.den, []
+    den, lift_den, comps = group.den, group.lift_den, []
     for p in group.prime_support:
         orders, lifts, idx, cofs = [], [], [], []
         for j, d in enumerate(group.orders):
@@ -259,14 +268,14 @@ def sylow_decomposition(group):
             while cof % p == 0:
                 cof //= p
             orders.append(d // cof)
-            lifts.append(_vec_mod1(cof * Fraction(x) for x in group.lifts[j]))
+            lifts.append(tuple(cof * x % lift_den for x in group.lifts[j]))
             idx.append(j)
             cofs.append(cof)
         comps.append(
             SylowComponent(
                 orders=tuple(orders),
                 lifts=tuple(lifts),
-                den=den,
+                lift_den=lift_den,
                 pair_nums=tuple(
                     tuple(group.pair_nums[j][l] * cj * cl % den for l, cl in zip(idx, cofs))
                     for j, cj in zip(idx, cofs)
@@ -295,9 +304,6 @@ class Isometry:
     def charpoly(self):
         return charpoly(self.matrix)
 
-    def apply(self, v):
-        return _matvec(self.matrix, v)
-
 
 def check_isometry(lattice, matrix):
     """Validate M^T G M = G and wrap the result; raises on failure."""
@@ -318,8 +324,9 @@ class GlueAction:
     def __init__(self, isometry, group):
         self.isometry = isometry
         self.glue = group
-        cols = [group.classify(isometry.apply(lift)) for lift in group.lifts]
-        if cols:
+        if group.lifts:
+            images = isometry.matrix @ IntMatrix(group.lifts).transpose()
+            cols = [group.classify(images.col(j), group.lift_den) for j in range(images.cols)]
             self.matrix = IntMatrix(cols).transpose()
         else:
             self.matrix = None

@@ -1,8 +1,9 @@
 """Exact integer and rational matrices.
 
 IntMatrix is immutable.  A rational matrix is an IntMatrix of
-numerators with one positive common denominator (common_denominator,
-exact_quotient).  The module functions implement the fraction-free
+numerators with one positive common denominator (exact_quotient): the
+package's one rational form, shared by dual vectors (lattices) and
+cyclotomic elements.  The module functions implement the fraction-free
 kernels: Bareiss determinant, Faddeev-LeVerrier characteristic
 polynomial, Smith and Hermite normal forms with transforms, one
 Bareiss solver for rational systems and inverses, and the signature of
@@ -77,15 +78,6 @@ class IntMatrix:
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
         )
 
-    def __sub__(self, other):
-        self._shape_match(other)
-        return IntMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
-        )
-
-    def __neg__(self):
-        return IntMatrix([[-a for a in row] for row in self.data])
-
     def __mul__(self, scalar):
         if not isinstance(scalar, int):
             return NotImplemented
@@ -109,16 +101,6 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.data]})"
-
-
-def common_denominator(rows):
-    """(N, d): integer rows N and the least positive d with N / d = rows.
-
-    Entries may be int or Fraction. This pair is the one representation
-    of a rational matrix in the package.
-    """
-    d = math.lcm(*(x.denominator for row in rows for x in row))
-    return IntMatrix([[x.numerator * (d // x.denominator) for x in row] for row in rows]), d
 
 
 def exact_quotient(m, d):

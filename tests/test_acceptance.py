@@ -85,7 +85,7 @@ def test_every_certified_claim_passes(assembly):
     report = certify(assembly)
     assert report.passed
     assert not report.failures()
-    assert len(report.claims()) == 46
+    assert len({c.claim for c in report.checks}) == 46
     ambient = assembly.result.ambient
     inv = ambient.invariants()
     assert inv["rank"] == 22
@@ -134,12 +134,22 @@ def test_glue_invariants_are_the_exact_claimed_values(assembly):
     def class_order_of(v):
         return next(k for k in range(1, 6) if all((k * c).denominator == 1 for c in v))
 
+    def over_five(v):
+        return tuple(int(5 * c) for c in v)
+
+    def norm(lattice, v):
+        # the Fraction-form oracle: v^T G v summed entry by entry
+        return sum(x * g * y for x, row in zip(v, lattice.gram.data) for g, y in zip(row, v))
+
     assert class_order_of(FIVE_GEN_L1) == 5
     g1, g2 = gmap.group1, gmap.group2
-    assert g1.quadratic(g1.classify(FIVE_GEN_L1)).value == Fraction(2, 5)
+    assert g1.quadratic(g1.classify(over_five(FIVE_GEN_L1), 5)).value == Fraction(2, 5)
+    assert norm(assembly.lattice1, FIVE_GEN_L1) % 2 == Fraction(2, 5)
     assert class_order_of(FIVE_GEN_L2) == 5
-    assert assembly.lattice2.bilinear(FIVE_GEN_L2, FIVE_GEN_L2) == Fraction(-142, 5)
-    assert g2.quadratic(g2.classify(FIVE_GEN_L2)).value == Fraction(8, 5)  # -2/5 mod 2
+    assert norm(assembly.lattice2, FIVE_GEN_L2) == Fraction(-142, 5)
+    v2 = over_five(FIVE_GEN_L2)
+    assert Fraction(assembly.lattice2.bilinear(v2, v2), 25) == Fraction(-142, 5)
+    assert g2.quadratic(g2.classify(v2, 5)).value == Fraction(8, 5)  # -2/5 mod 2
 
     a1 = induced_glue_action(assembly.isometry1)
     a2 = induced_glue_action(assembly.isometry2)
@@ -212,7 +222,10 @@ def test_random_suites_and_corruption_isolation():
 
     # image classes of the generators, by classifying the isometry's images
     units = [tuple(int(i == j) for j in range(len(group.orders))) for i in range(len(group.orders))]
-    images = [group.classify(t1.apply(x)) for x in group.lifts]
+    images = [
+        group.classify([sum(a * c for a, c in zip(row, x)) for row in t1.matrix.data], group.lift_den)
+        for x in group.lifts
+    ]
     assert images == [action.matrix.col(j) for j in range(len(images))]
     for i, x in enumerate(images):
         for j, y in enumerate(images):
@@ -239,8 +252,8 @@ def test_random_suites_and_corruption_isolation():
             continue
         g1, g2 = gmap.group1, gmap.group2
         valid = anti_isometry_scalars(
-            g1.quadratic(g1.classify(gc.comp1.lifts[0])),
-            g2.quadratic(g2.classify(gc.comp2.lifts[0])),
+            g1.quadratic(g1.classify(gc.comp1.lifts[0], gc.comp1.lift_den)),
+            g2.quadratic(g2.classify(gc.comp2.lifts[0], gc.comp2.lift_den)),
             5,
         )
         bad = next(c for c in range(1, 5) if c not in valid)

@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
@@ -70,7 +71,7 @@ CLAIMS = (
 def test_full_certification_passes():
     report = certify()
     assert report.passed
-    assert report.claims() == CLAIMS
+    assert tuple(c.claim for c in report.checks) == CLAIMS
     assert not report.failures()
 
 
@@ -134,11 +135,16 @@ def test_glue_scalar_corruption_fails_only_glue_map():
             components.append(gc)
             continue
         g1, g2 = gmap.group1, gmap.group2
-        valid = anti_isometry_scalars(
-            g1.quadratic(g1.classify(gc.comp1.lifts[0])),
-            g2.quadratic(g2.classify(gc.comp2.lifts[0])),
-            5,
+        q1, q2 = (
+            g.quadratic(g.classify(comp.lifts[0], comp.lift_den))
+            for g, comp in ((g1, gc.comp1), (g2, gc.comp2))
         )
+        # the Fraction-form oracle: q(x) = b(x, x) mod 2 for x = lift / lift_den
+        for g, comp, q in ((g1, gc.comp1, q1), (g2, gc.comp2, q2)):
+            x = [Fraction(c, comp.lift_den) for c in comp.lifts[0]]
+            gram = g.lattice.gram.data
+            assert q.value == sum(a * e * b for a, row in zip(x, gram) for e, b in zip(row, x)) % 2
+        valid = anti_isometry_scalars(q1, q2, 5)
         assert gc.matrix[0, 0] in valid
         bad = next(c for c in range(1, 5) if c not in valid)
         components.append(GlueComponent(5, IntMatrix([[bad]]), gc.comp1, gc.comp2))

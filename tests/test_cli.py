@@ -137,6 +137,24 @@ def test_glue_rank_two_part_at_a_prime_near_1e9_hits_the_search_bound(tmp_path):
     assert "obstruction: search bound" in proc.stderr
 
 
+def test_lattice_info_and_glue_never_factor_unequal_orders(capsys, tmp_path, monkeypatch):
+    # 2pq with p, q near 10^14: factoring the glue order would not finish
+    # in reasonable time, and neither command needs its prime support
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr("k3glue.lattices.factorize", refuse)
+    p, q = 10**14 + 31, 3 * 10**14 + 89
+    big = write(tmp_path, "big.lat", f"rank 1\ngram\n{2 * p * q}\n")
+    code, out, _ = run(capsys, "lattice-info", big)
+    assert code == 0
+    assert f"glue_orders ({2 * p * q})" in out
+    small = write(tmp_path, "small.lat", "rank 1\ngram\n-2\n")
+    code, _, err = run(capsys, "glue", big, small)
+    assert code == 1
+    assert "different orders" in err
+
+
 def test_twist(capsys, tmp_path):
     path = write(tmp_path, "l1.lat", L1_TEXT)
     code, out, _ = run(capsys, "twist", path, "--poly", "3")
@@ -196,7 +214,7 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     assert code == 2
 
 
-def test_bad_flags_exit_2(monkeypatch):
+def test_bad_flags_exit_2(capsys, monkeypatch):
     # argparse exits through SystemExit with code 2, before any handler:
     # a --max below cross-validate's minimum must not reach certify()
     monkeypatch.setattr(cli, "certify", None)
@@ -209,9 +227,16 @@ def test_bad_flags_exit_2(monkeypatch):
         ["table1", "--digits", "0"],
         ["table1", "--digits", "\u00b2"],
         ["twist", "x.lat", "--poly", "a,b"],
+        ["twist", "x.lat", "--poly", "\u00b2"],
         ["gram", "--which", "L9"],
         [],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+    # '\u00b2' passes isdigit() but is not an ASCII integer: the coefficient
+    # parser rejects it with its own message
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["twist", "x.lat", "--poly", "1,\u00b2"])
+    assert "'\u00b2' is not an integer" in capsys.readouterr().err

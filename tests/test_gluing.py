@@ -145,15 +145,22 @@ def test_sylow_shape_mismatch():
 def test_graph_pairs_and_matches_classes():
     l1, l2 = Lattice([[6]]), Lattice([[-6]])
     gmap, _ = glue_with_identities(l1, l2)
-    for x, y in gmap.graph_pairs():
-        assert l1.in_dual(x) and l2.in_dual(y)
-        assert gmap.matches_classes(x, y)
-        # the pairing must be anti-isometric on the graph
-        g1, g2 = glue_group(l1), glue_group(l2)
-        q1 = g1.quadratic(g1.classify(x)).value
-        q2 = g2.quadratic(g2.classify(y)).value
-        assert (q1 + q2) % 2 == 0
-    assert not gmap.matches_classes((Fraction(1, 6),), (Fraction(5, 6),))
+    g1, g2 = glue_group(l1), glue_group(l2)
+    for den in (6, 12):
+        rows = gmap.graph_rows(den)
+        assert len(rows) == sum(len(gc.comp1.orders) for gc in gmap.components)
+        for row in rows:
+            x, y = row[:1], row[1:]
+            assert l1.in_dual(x, den) and l2.in_dual(y, den)
+            assert gmap.matches_classes(x, y, den)
+            # the pairing must be anti-isometric on the graph; the
+            # Fraction-form oracle is b(v, v) of the lifts mod 2
+            q1 = g1.quadratic(g1.classify(x, den)).value
+            q2 = g2.quadratic(g2.classify(y, den)).value
+            assert q1 == Fraction(l1.bilinear(x, x), den * den) % 2
+            assert q2 == Fraction(l2.bilinear(y, y), den * den) % 2
+            assert (q1 + q2) % 2 == 0
+    assert not gmap.matches_classes((1,), (5,), 6)
 
 
 def test_verify_glue_map_detects_corruption():
@@ -165,10 +172,11 @@ def test_verify_glue_map_detects_corruption():
     gc = next(c for c in gmap.components if c.prime == 5)
     g1, g2 = glue_group(l1), glue_group(l2)
     valid = anti_isometry_scalars(
-        g1.quadratic(g1.classify(gc.comp1.lifts[0])),
-        g2.quadratic(g2.classify(gc.comp2.lifts[0])),
+        g1.quadratic(g1.classify(gc.comp1.lifts[0], gc.comp1.lift_den)),
+        g2.quadratic(g2.classify(gc.comp2.lifts[0], gc.comp2.lift_den)),
         5,
     )
+    assert gc.comp1.lifts[0] == (2,) and gc.comp1.lift_den == 10  # the lift 1/5
     bad_scalar = next(c for c in range(1, 5) if c not in valid)
     components = [
         GlueComponent(c.prime, IntMatrix([[bad_scalar]]), c.comp1, c.comp2)
@@ -318,17 +326,25 @@ def test_sylow_tables_match_the_torsion_form():
                 c = tuple(rng.randrange(d) for d in table.orders)
                 e = tuple(rng.randrange(d) for d in table.orders)
                 x, y = (
-                    [sum(ci * lift[k] for ci, lift in zip(coords, table.lifts)) for k in range(lat.rank)]
+                    [
+                        sum(Fraction(ci * lift[k], table.lift_den) for ci, lift in zip(coords, table.lifts))
+                        for k in range(lat.rank)
+                    ]
                     for coords in (c, e)
                 )
-                assert table.bilinear(c, e).value == lat.bilinear(x, y) % 1
+
+                def b(u, v):
+                    return sum(a * g * w for a, row in zip(u, lat.gram.data) for g, w in zip(row, v))
+
+                assert table.den == table.lift_den**2
+                assert table.bilinear(c, e).value == b(x, y) % 1
                 if lat.is_even():
-                    assert table.quadratic(c).value == lat.bilinear(x, x) % 2
+                    assert table.quadratic(c).value == b(x, x) % 2
                 else:
                     with pytest.raises(ValueError, match="even"):
                         table.quadratic(c)
                 if table is not group:
-                    assert table.project(group.classify(table.lift_of(c))) == c
+                    assert table.project(group.classify(table.lift_of(c), table.lift_den)) == c
 
 
 def test_sylow_matrix_matches_classified_images():
@@ -343,7 +359,8 @@ def test_sylow_matrix_matches_classified_images():
         for comp in sylow_decomposition(action.glue):
             m = action.sylow_matrix(comp)
             for k, lift in enumerate(comp.lifts):
-                assert m.col(k) == comp.project(action.glue.classify(iso.apply(lift)))
+                image = [sum(a * c for a, c in zip(row, lift)) for row in iso.matrix.data]
+                assert m.col(k) == comp.project(action.glue.classify(image, comp.lift_den))
 
 
 def test_glue_rejects_a_graph_lift_outside_the_dual():
@@ -351,7 +368,7 @@ def test_glue_rejects_a_graph_lift_outside_the_dual():
     gmap, _ = glue_with_identities(l1, l2)
     (gc,) = gmap.components
     # 1/4 pairs to 1/2 with the generator of [[2]]: not a dual vector
-    comp1 = dataclasses.replace(gc.comp1, lifts=((Fraction(1, 4),),))
+    comp1 = dataclasses.replace(gc.comp1, lifts=((1,),), lift_den=4)
     bad = GlueMap(gmap.group1, gmap.group2, [dataclasses.replace(gc, comp1=comp1)])
     with pytest.raises(AssertionError, match="outside the dual sum"):
         glue(l1, l2, bad)
@@ -361,7 +378,7 @@ def test_glue_rejects_a_graph_lift_outside_the_dual():
     h = Lattice([[0, 1], [1, 0]])
     trivial = GlueMap(glue_group(h), glue_group(h), [])
     with pytest.raises(ValueError, match="dual"):
-        trivial.matches_classes((Fraction(1, 2), 0), (0, 0))
+        trivial.matches_classes((1, 0), (0, 0), 2)
 
 
 def _unimodular(rng, n):

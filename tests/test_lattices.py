@@ -52,9 +52,16 @@ def test_bilinear_and_dual_membership():
     lat = Lattice([[2, 1], [1, 4]])
     assert lat.bilinear((1, 0), (0, 1)) == 1
     assert lat.bilinear((1, 1), (1, 1)) == 8
-    assert lat.in_dual((1, 0))
-    assert lat.in_dual((Fraction(4, 7), Fraction(-1, 7)))
-    assert not lat.in_dual((Fraction(1, 2), 0))
+    assert lat.in_dual((1, 0), 1)
+    assert lat.in_dual((4, -1), 7)
+    assert not lat.in_dual((1, 0), 2)
+    # the Fraction-form oracle: y is dual iff b(y, e_i) is integral for all i
+    for nums, den in (((1, 0), 1), ((4, -1), 7), ((1, 0), 2), ((8, -2), 14), ((3, 5), 7)):
+        y = [Fraction(c, den) for c in nums]
+        integral = all(sum(a * g for a, g in zip(y, row)).denominator == 1 for row in lat.gram.data)
+        assert lat.in_dual(nums, den) == integral
+    with pytest.raises(TypeError):
+        lat.in_dual((1, 0))  # a dual vector always carries its denominator
 
 
 def test_glue_group_structure():
@@ -77,30 +84,41 @@ def test_classify_lift_round_trip():
         for _ in range(25):
             coords = tuple(rng.randrange(d) for d in g.orders)
             lift = g.lift_of(coords)
-            assert g.classify(lift) == coords
+            assert all(0 <= c < g.lift_den for c in lift)
+            # the Fraction-form oracle: the sum of generator lifts, mod 1
+            assert [Fraction(c, g.lift_den) for c in lift] == [
+                sum(Fraction(k * x, g.lift_den) for k, x in zip(coords, col)) % 1
+                for col in zip(*g.lifts)
+            ]
+            assert g.classify(lift, g.lift_den) == coords
+            k = rng.randrange(2, 10)
+            assert g.classify([k * c for c in lift], k * g.lift_den) == coords
             o = g.class_order(coords)
             assert all(o * c % d == 0 for c, d in zip(coords, g.orders))
             for p in set(factorize(o)) if o > 1 else ():
                 shrunk = o // p
                 assert any(shrunk * c % d for c, d in zip(coords, g.orders))
-    with pytest.raises(ValueError):
-        glue_group(Lattice([[2]])).classify((Fraction(1, 3),))
+    for gram, nums, den in (([[2]], (1,), 3), (L1_GRAM, (1, 0), 2), ([[2, 0], [0, 6]], (1, 1), 4)):
+        with pytest.raises(ValueError, match="not in the dual"):
+            glue_group(Lattice(gram)).classify(nums, den)
+    with pytest.raises(TypeError):
+        glue_group(Lattice([[2]])).classify((1,))
 
 
 def test_torsion_values():
     g = glue_group(Lattice([[2]]))
-    half = g.classify((Fraction(1, 2),))
+    half = g.classify((1,), 2)
     q = g.quadratic(half)
     assert (q.value, q.modulus) == (Fraction(1, 2), 2)
     b = g.bilinear(half, half)
     assert (b.value, b.modulus) == (Fraction(1, 2), 1)
     g6 = glue_group(Lattice([[6]]))
-    assert g6.quadratic(g6.classify((Fraction(1, 6),))).value == Fraction(1, 6)
-    assert g6.quadratic(g6.classify((Fraction(5, 6),))).value == Fraction(25, 6) % 2
+    assert g6.quadratic(g6.classify((1,), 6)).value == Fraction(1, 6)
+    assert g6.quadratic(g6.classify((5,), 6)).value == Fraction(25, 6) % 2
     with pytest.raises(ValueError):
         glue_group(Lattice([[1]])).quadratic(())
     with pytest.raises(ValueError):
-        g6.quadratic(g6.classify((Fraction(1, 4),)))
+        g6.quadratic(g6.classify((1,), 4))
     # classes are integer coordinates; a dual vector is not a class
     for bad in ((Fraction(1, 6),), (1, 0), ()):
         with pytest.raises(ValueError, match="integer coordinates"):
@@ -175,11 +193,17 @@ def test_glue_action_preserves_torsion_forms():
             x = tuple(rng.randrange(d) for d in group.orders)
             y = tuple(rng.randrange(d) for d in group.orders)
             gx, gy = apply(x), apply(y)
-            assert gx == group.classify(iso.apply(group.lift_of(x)))
-            # the lattice's own form on lifts is the oracle
+            lift = group.lift_of(x)
+            image = [sum(a * c for a, c in zip(row, lift)) for row in iso.matrix.data]
+            assert gx == group.classify(image, group.lift_den)
+            # the lattice's own form on lifts, as Fractions, is the oracle
             lx, ly, lgx, lgy = (group.lift_of(c) for c in (x, y, gx, gy))
-            assert lat.bilinear(lx, ly) % 1 == lat.bilinear(lgx, lgy) % 1
-            assert lat.bilinear(lx, lx) % 2 == lat.bilinear(lgx, lgx) % 2
+
+            def b(u, v):
+                return Fraction(lat.bilinear(u, v), group.lift_den**2)
+
+            assert b(lx, ly) % 1 == b(lgx, lgy) % 1
+            assert b(lx, lx) % 2 == b(lgx, lgx) % 2
             assert group.bilinear(gx, gy) == group.bilinear(x, y)
             assert group.quadratic(gx) == group.quadratic(x)
             assert group.class_order(x) == group.class_order(gx)

@@ -17,7 +17,6 @@ from k3glue.matrices import (
     IntMatrix,
     block_diagonal,
     charpoly,
-    common_denominator,
     companion,
     det,
     exact_quotient,
@@ -386,9 +385,8 @@ def test_tall_systems_solve_or_raise():
 
 
 def test_rational_matrix_helpers():
-    rows = [[Fraction(1, 2), 3], [Fraction(-2, 3), Fraction(0)]]
-    m, d = common_denominator(rows)
-    assert (m, d) == (IntMatrix([[3, 18], [-4, 0]]), 6)
+    # rows (1/2, 3), (-2/3, 0) in the one rational form
+    m, d = IntMatrix([[3, 18], [-4, 0]]), 6
     assert exact_quotient(IntMatrix([[6, -12]]), 6) == IntMatrix([[1, -2]])
     with pytest.raises(ValueError):
         exact_quotient(m, d)
