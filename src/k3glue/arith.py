@@ -4,6 +4,13 @@ import math
 import random
 
 _TRIAL_LIMIT = 10**6
+#: Pollard rho steps one factorize call may take in all (about 1 s); rho
+#: needs about sqrt(p) steps to split off a prime p
+_RHO_STEPS = 5 * 10**5
+
+
+class FactorizationBoundError(ValueError):
+    """factorize used up its Pollard rho step budget."""
 
 
 def is_perfect_square(n):
@@ -14,19 +21,25 @@ def is_perfect_square(n):
     return r * r == n
 
 
-def _pollard_rho(n, rng):
-    # n odd composite, no factor below the trial limit
+def _pollard_rho(n, rng, steps):
+    # n odd composite, no factor below the trial limit; returns a proper
+    # factor and what is left of the step budget
     while True:
         c = rng.randrange(1, n)
-        f = lambda x: (x * x + c) % n
         x = y = rng.randrange(2, n)
         d = 1
         while d == 1:
-            x = f(x)
-            y = f(f(y))
-            d = math.gcd(abs(x - y), n)
+            if steps == 0:
+                raise FactorizationBoundError(
+                    f"{n} not split within {_RHO_STEPS} Pollard rho steps"
+                )
+            steps -= 1
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(x - y, n)
         if d != n:
-            return d
+            return d, steps
 
 
 def _iroot(n, k):
@@ -68,7 +81,8 @@ def factorize(n):
     """Prime factorization of n >= 1 as a sorted dict {p: exponent}.
 
     Trial division up to 10^6, then Pollard rho with a fixed seed so
-    results are deterministic.
+    results are deterministic. Raises FactorizationBoundError when rho
+    takes more than _RHO_STEPS steps in all.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
@@ -88,6 +102,7 @@ def factorize(n):
         i = (i + 1) % 8
     if n > 1:
         rng = random.Random(0x5A1E)
+        steps = _RHO_STEPS
         stack = [n]
         while stack:
             m = stack.pop()
@@ -105,7 +120,7 @@ def factorize(n):
             if k is not None:
                 stack.extend([_iroot(m, k)] * k)
                 continue
-            d = _pollard_rho(m, rng)
+            d, steps = _pollard_rho(m, rng, steps)
             stack.append(d)
             stack.append(m // d)
     return dict(sorted(factors.items()))

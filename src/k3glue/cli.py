@@ -15,7 +15,7 @@ from .certify import EMBEDDING_DIGITS, assemble_k3, build_l1, build_l2, certify
 from .cyclotomic import CycloField, dpsi_quotient, real_embedding_signs, real_subfield, twist_element_parts
 from .gluing import NoGlueMapError, extend_isometry, find_glue_map, glue
 from .lattices import check_isometry, glue_group, induced_glue_action, twist
-from .latticeio import LatticeParseError, format_lattice, read_lattice_file
+from .latticeio import MAX_DIGITS, LatticeParseError, format_lattice, read_lattice_file
 from .matrices import IntMatrix, charpoly
 from .polynomials import IntPoly
 from .salem import cross_validate, theorem_b_set
@@ -149,7 +149,7 @@ def _int_at_least(minimum):
 
     def parse(text):
         # isdigit() alone admits characters such as '\u00b2' that int() rejects
-        if not (text.isascii() and text.isdigit()) or int(text) < minimum:
+        if not (text.isascii() and text.isdigit()) or len(text) > MAX_DIGITS or int(text) < minimum:
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {minimum}")
         return int(text)
 
@@ -219,6 +219,10 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact results (a determinant, a glued Gram entry) may have more digits
+    # than CPython converts to str by default; the parsers bound the input
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except LatticeParseError as exc:
@@ -227,6 +231,8 @@ def main(argv=None):
     except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from .arith import factorize
+from .arith import FactorizationBoundError, factorize
 from .lattices import (
     Lattice,
     check_isometry,
@@ -49,9 +49,13 @@ def _sqrt_mod_prime(b, p):
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
+    # Bach: under GRH the least non-residue is below 2 (ln p)^2, which is
+    # below bit_length^2; a composite passing as prime may have none
+    for z in range(2, p.bit_length() ** 2):
+        if pow(z, (p - 1) // 2, p) == p - 1:
+            break
+    else:
+        raise ValueError(f"no quadratic non-residue mod {p} below the Bach bound")
     m, c, t, r = s, pow(z, q, p), pow(b, q, p), pow(b, (q + 1) // 2, p)
     while t != 1:
         i, t2 = 0, t
@@ -381,13 +385,14 @@ def find_glue_map(group1, group2, action1, action2):
         raise ValueError("actions do not belong to the given glue groups")
     if group1.order != group2.order:
         raise ValueError("glue groups have different orders")
-    if group1.prime_support != group2.prime_support:
-        raise ValueError("glue groups have different prime supports")
     for g in (group1, group2):
         if not g.lattice.is_even():
             raise ValueError("gluing needs even lattices")
-    syl1 = {c.prime: c for c in sylow_decomposition(group1)}
-    syl2 = {c.prime: c for c in sylow_decomposition(group2)}
+    try:  # equal orders have equal prime supports
+        syl1 = {c.prime: c for c in sylow_decomposition(group1)}
+        syl2 = {c.prime: c for c in sylow_decomposition(group2)}
+    except FactorizationBoundError as exc:
+        raise NoGlueMapError(str(exc), "factorization bound") from None
     components = []
     for p in group1.prime_support:
         comp1, comp2 = syl1[p], syl2[p]

@@ -21,6 +21,11 @@ from .lattices import Lattice, check_isometry
 from .matrices import IntMatrix
 
 
+#: most digits in one input integer: CPython's default str -> int limit,
+#: checked here because the command line lifts that limit for its output
+MAX_DIGITS = 4300
+
+
 class LatticeParseError(ValueError):
     """Malformed or mathematically invalid lattice document."""
 
@@ -30,6 +35,8 @@ def _parse_int(token, where):
     body = token[1:] if token.startswith("-") else token
     if not (body.isascii() and body.isdigit()):
         raise LatticeParseError(f"{where}: {token!r} is not a decimal integer")
+    if len(body) > MAX_DIGITS:
+        raise LatticeParseError(f"{where}: an entry has more than {MAX_DIGITS} digits")
     return int(token)
 
 

@@ -74,15 +74,6 @@ class Lattice:
         represents a dual vector."""
         return self._dual_image(nums, den) is not None
 
-    def invariants(self):
-        return {
-            "rank": self.rank,
-            "even": self.is_even(),
-            "unimodular": self.is_unimodular(),
-            "det": self.det,
-            "signature": self.signature(),
-        }
-
     def __eq__(self, other):
         return isinstance(other, Lattice) and self.gram == other.gram
 

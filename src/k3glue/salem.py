@@ -21,13 +21,12 @@ trace 3 to trace 7.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .arith import euler_phi, is_perfect_square
 from .cyclotomic import cyclotomic_poly
 from .matrices import charpoly, companion
-from .polynomials import IntPoly, format_decimal, real_root_isolation, refine_root
+from .polynomials import IntPoly
 
 #: 22 minus the degree of the Salem factor X^2 - tau X + 1
 COFACTOR_DEGREE = 20
@@ -282,44 +281,3 @@ def cross_validate(bound, pipeline_certified):
         )
     return CrossValidationReport(tuple(rows), mismatches)
 
-
-@dataclass(frozen=True)
-class SalemDegree2:
-    """The larger root of X^2 - tau X + 1 with an isolating interval.
-
-    tau = 2 degenerates to the double root 1, flagged rather than
-    rejected.
-    """
-
-    tau: int
-    minimal_polynomial: IntPoly
-    interval: tuple
-    decimal: str
-    digits: int
-    degenerate: bool
-
-
-def salem_value(tau, digits=5):
-    """Decimal enclosure of (tau + sqrt(tau^2 - 4)) / 2.
-
-    The isolating interval is refined until both endpoints print
-    identically at `digits` significant digits; the value is a
-    quadratic irrational for tau >= 3, so this terminates.
-    """
-    if tau < 2:
-        raise ValueError("trace below 2 gives no real quadratic unit")
-    if digits < 1:
-        raise ValueError("need at least one significant digit")
-    p = IntPoly([1, -tau, 1])
-    if tau == 2:
-        one = Fraction(1)
-        return SalemDegree2(2, p, (one, one), format_decimal(1, digits), digits, True)
-    interval = real_root_isolation(p)[-1]
-    width = Fraction(1, 10 ** (digits + 1))
-    interval = refine_root(p, interval, width)
-    while format_decimal(interval[0], digits) != format_decimal(interval[1], digits):
-        width /= 16
-        interval = refine_root(p, interval, width)
-    return SalemDegree2(
-        tau, p, interval, format_decimal(interval[0], digits), digits, False
-    )

@@ -87,11 +87,10 @@ def test_every_certified_claim_passes(assembly):
     assert not report.failures()
     assert len({c.claim for c in report.checks}) == 46
     ambient = assembly.result.ambient
-    inv = ambient.invariants()
-    assert inv["rank"] == 22
-    assert inv["even"]
-    assert abs(inv["det"]) == 1
-    assert inv["signature"] == (3, 19)
+    assert ambient.rank == 22
+    assert ambient.is_even()
+    assert ambient.is_unimodular() and abs(ambient.det) == 1
+    assert ambient.signature() == (3, 19)
     expected = IntPoly([1, -3, 1]) * cyclotomic_poly(50)
     assert charpoly(assembly.isometry.matrix) == expected
 

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from k3glue.arith import _iroot, euler_phi, factorize, is_perfect_square
+from k3glue import arith
+from k3glue.arith import FactorizationBoundError, _iroot, euler_phi, factorize, is_perfect_square
 
 
 def test_perfect_squares():
@@ -52,6 +53,18 @@ def test_factorize_beyond_trial_division():
     p, q = 1000003, 1000033
     assert factorize(p * q) == {p: 1, q: 1}
     assert factorize(p * p) == {p: 2}
+
+
+def test_factorize_stops_at_its_rho_budget(monkeypatch):
+    # rho needs about sqrt(p) steps: ~3 * 10^4 near 10^9, ~10^7 near 10^14
+    p, q = 10**9 + 7, 10**9 + 9
+    assert factorize(p * q) == {p: 1, q: 1}
+    # a tenth of the budget keeps this test fast; test_cli's glue on the
+    # same semiprime runs into the full one
+    monkeypatch.setattr(arith, "_RHO_STEPS", arith._RHO_STEPS // 10)
+    assert factorize(p * q) == {p: 1, q: 1}
+    with pytest.raises(FactorizationBoundError, match="Pollard rho"):
+        factorize((10**14 + 31) * (3 * 10**14 + 89))
 
 
 def test_factorize_large_prime_powers():

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -102,18 +103,25 @@ def test_glue_toy_pair(capsys, tmp_path):
     assert parsed_rank == "rank 2"
 
 
-def run_glue_subprocess(tmp_path, gram1, gram2):
-    """`glue` on two diagonal lattices in a child with a 10 s limit."""
-    paths = []
-    for name, diag in (("a.lat", gram1), ("b.lat", gram2)):
-        rows = [" ".join(str(d if i == j else 0) for j in range(len(diag))) for i, d in enumerate(diag)]
-        paths.append(write(tmp_path, name, f"rank {len(diag)}\ngram\n" + "\n".join(rows) + "\n"))
+def run_subprocess(*args, env=None):
+    """`python -m k3glue` in a child with a 10 s limit."""
     return subprocess.run(
-        [sys.executable, "-m", "k3glue", "glue", *paths],
+        [sys.executable, "-m", "k3glue", *args],
         capture_output=True,
         text=True,
         timeout=10,
+        env=env,
     )
+
+
+def diagonal_file(tmp_path, name, diag):
+    rows = [" ".join(str(d if i == j else 0) for j in range(len(diag))) for i, d in enumerate(diag)]
+    return write(tmp_path, name, f"rank {len(diag)}\ngram\n" + "\n".join(rows) + "\n")
+
+
+def run_glue_subprocess(tmp_path, gram1, gram2):
+    """`glue` on two diagonal lattices in a child with a 10 s limit."""
+    return run_subprocess("glue", diagonal_file(tmp_path, "a.lat", gram1), diagonal_file(tmp_path, "b.lat", gram2))
 
 
 def test_glue_at_a_prime_near_1e9_finishes(tmp_path):
@@ -135,6 +143,39 @@ def test_glue_rank_two_part_at_a_prime_near_1e9_hits_the_search_bound(tmp_path):
     proc = run_glue_subprocess(tmp_path, [2 * p, 2 * p], [-2 * p, -2 * p])
     assert proc.returncode == 1
     assert "obstruction: search bound" in proc.stderr
+
+
+def test_glue_whose_order_rho_cannot_split_hits_the_factorization_bound(tmp_path):
+    p, q = 10**14 + 31, 3 * 10**14 + 89
+    proc = run_glue_subprocess(tmp_path, [2 * p * q], [-2 * p * q])
+    assert proc.returncode == 1
+    assert "obstruction: factorization bound" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_entry_over_the_digit_limit_is_an_input_error(tmp_path):
+    path = diagonal_file(tmp_path, "long.lat", ["2" + "0" * 5000])
+    proc = run_subprocess("lattice-info", path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_env_digits_over_the_digit_limit_is_an_input_error():
+    env = dict(os.environ, K3GLUE_DIGITS="9" * 5000)
+    proc = run_subprocess("table1", env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error: K3GLUE_DIGITS=")
+    assert "Traceback" not in proc.stderr
+
+
+def test_lattice_info_prints_a_determinant_over_the_digit_limit(tmp_path):
+    # entries of 3001 digits parse, and det = 4 * 10^6000 must still print
+    e = 2 * 10**3000
+    proc = run_subprocess("lattice-info", diagonal_file(tmp_path, "wide.lat", [e, e]))
+    assert proc.returncode == 0, proc.stderr
+    assert "det 4" + "0" * 6000 in proc.stdout.splitlines()
+    assert "Traceback" not in proc.stderr
 
 
 def test_lattice_info_and_glue_never_factor_unequal_orders(capsys, tmp_path, monkeypatch):

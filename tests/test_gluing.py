@@ -71,13 +71,10 @@ def test_toy_glue_rank_one():
 def test_toy_glue_order_six():
     l1, l2 = Lattice([[6]]), Lattice([[-6]])
     gmap, result = glue_with_identities(l1, l2)
-    assert result.ambient.invariants() == {
-        "rank": 2,
-        "even": True,
-        "unimodular": True,
-        "det": -1,
-        "signature": (1, 1),
-    }
+    amb = result.ambient
+    assert amb.rank == 2 and amb.is_even() and amb.is_unimodular()
+    assert amb.det == -1
+    assert amb.signature() == (1, 1)
     assert result.index == 6
 
 
@@ -275,6 +272,13 @@ def test_sqrt_mod_prime_matches_brute_force():
                 assert r is not None and r * r % p == b
             else:
                 assert r is None
+
+
+def test_sqrt_mod_prime_gives_up_on_a_carmichael_number():
+    # 561 = 3 * 11 * 17 passes Euler's criterion for every unit base, so
+    # it has no "non-residue" z with z^280 = -1
+    with pytest.raises(ValueError, match="non-residue"):
+        _sqrt_mod_prime(1, 561)
 
 
 def test_eigen_split_matches_brute_force():

@@ -34,13 +34,9 @@ def test_constructor_validation():
 
 def test_basic_invariants():
     a1 = Lattice([[2]])
-    assert a1.invariants() == {
-        "rank": 1,
-        "even": True,
-        "unimodular": False,
-        "det": 2,
-        "signature": (1, 0),
-    }
+    assert a1.rank == 1 and a1.is_even() and not a1.is_unimodular()
+    assert a1.det == 2
+    assert a1.signature() == (1, 0)
     hyp = Lattice([[0, 1], [1, 0]])
     assert hyp.is_even() and hyp.is_unimodular()
     assert hyp.signature() == (1, 1)

@@ -13,7 +13,6 @@ from k3glue.salem import (
     candidate_pairs,
     cross_validate,
     hkl_realizable,
-    salem_value,
     square_condition_filter,
     theorem_b_set,
 )
@@ -210,39 +209,3 @@ def test_squaring_identity_family():
     for tau in range(3, 31):
         c = companion(IntPoly([1, -tau, 1]))
         assert charpoly(c @ c) == IntPoly([1, -(tau * tau - 2), 1])
-
-
-def test_salem_value_goldens():
-    v3 = salem_value(3)
-    assert v3.decimal == "2.6180"
-    assert v3.minimal_polynomial == IntPoly([1, -3, 1])
-    assert not v3.degenerate
-    assert float(v3.interval[0]) <= (3 + math.sqrt(5)) / 2 <= float(v3.interval[1])
-    assert salem_value(7).decimal == "6.8541"
-    v2 = salem_value(2)
-    assert v2.degenerate and v2.decimal == "1.0000"
-    with pytest.raises(ValueError):
-        salem_value(1)
-    with pytest.raises(ValueError):
-        salem_value(3, digits=0)
-
-
-def test_salem_value_matches_quadratic_formula():
-    for tau in (3, 7, 14, 23, 98):
-        for digits in (4, 6, 9):
-            got = salem_value(tau, digits)
-            target = (tau + math.sqrt(tau * tau - 4)) / 2
-            assert abs(float(got.decimal) - target) < 10.0 ** (2 - digits)
-            lo, hi = got.interval
-            assert float(lo) <= target <= float(hi)
-
-
-def test_salem_traces_multiply_consistently():
-    # lambda(tau)^2 = lambda(tau^2 - 2): endpoints of the squared interval
-    # must straddle the other root's interval
-    for tau in (3, 4, 5):
-        lam = salem_value(tau, 12)
-        lam2 = salem_value(tau * tau - 2, 12)
-        lo = lam.interval[0] ** 2
-        hi = lam.interval[1] ** 2
-        assert lo <= lam2.interval[1] and lam2.interval[0] <= hi
