@@ -156,11 +156,8 @@ def assemble_k3():
     parts = twist_element_parts(field)
     l1, t1 = build_l1()
     l2, t2 = build_trace_form_lattice(field, parts["a"])
-    gmap = find_glue_map(
-        glue_group(l1), glue_group(l2),
-        induced_glue_action(t1), induced_glue_action(t2),
-    )
-    result = glue(l1, l2, gmap)
+    gmap = find_glue_map(t1, t2)
+    result = glue(gmap)
     iso = extend_isometry(result, t1, t2)
     return K3Assembly(field, parts, l1, t1, l2, t2, gmap, result, iso)
 
@@ -423,9 +420,7 @@ def certify(assembly=None):
     iso = assembly.isometry
 
     def glue_map_check():
-        bad = verify_glue_map(
-            gmap, induced_glue_action(t1), induced_glue_action(t2)
-        )
+        bad = verify_glue_map(gmap, t1, t2)
         parts = ";".join(f"{gc.prime}:{_mat(gc.matrix)}" for gc in gmap.components)
         return bad is None, f"components={parts}" + (f" obstruction={bad}" if bad else "")
 
@@ -469,11 +464,11 @@ def certify(assembly=None):
         f"charpoly=({SALEM_FACTOR})*Phi_50",
     ))
     run("K3.sublattice1.primitive", lambda: (
-        is_primitive(rebuilt_lattice(), result.embed1)[0],
+        is_primitive(rebuilt_lattice(), result.embed1),
         "elementary divisors of the embedding are all 1",
     ))
     run("K3.sublattice2.primitive", lambda: (
-        is_primitive(rebuilt_lattice(), result.embed2)[0],
+        is_primitive(rebuilt_lattice(), result.embed2),
         "elementary divisors of the embedding are all 1",
     ))
     run("K3.sublattice1.invariant", lambda: (

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .certify import EMBEDDING_DIGITS, assemble_k3, build_l1, build_l2, certify
 from .cyclotomic import CycloField, dpsi_quotient, real_embedding_signs, real_subfield, twist_element_parts
 from .gluing import NoGlueMapError, extend_isometry, find_glue_map, glue
-from .lattices import check_isometry, glue_group, induced_glue_action, twist
+from .lattices import check_isometry, glue_group, twist
 from .latticeio import MAX_DIGITS, LatticeParseError, format_lattice, read_lattice_file
 from .matrices import IntMatrix, charpoly
 from .polynomials import IntPoly
@@ -24,13 +24,17 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 
+#: most digits `table1` refines to (flag or K3GLUE_DIGITS): the refinement
+#: time grows faster than the square of the digit count
+MAX_TABLE1_DIGITS = 300
+
 
 def _default_digits():
     raw = os.environ.get("K3GLUE_DIGITS")
     if raw is None:
         return EMBEDDING_DIGITS
     try:
-        return _int_at_least(1)(raw)
+        return _int_in_range(1, MAX_TABLE1_DIGITS)(raw)
     except argparse.ArgumentTypeError as exc:
         raise LatticeParseError(f"K3GLUE_DIGITS={exc}") from None
 
@@ -78,17 +82,18 @@ def _cmd_glue(args):
     l1, t1 = read_lattice_file(args.file1)
     l2, t2 = read_lattice_file(args.file2)
     # a missing isometry means gluing along the identity action
-    a1 = induced_glue_action(t1 or check_isometry(l1, IntMatrix.identity(l1.rank)))
-    a2 = induced_glue_action(t2 or check_isometry(l2, IntMatrix.identity(l2.rank)))
     try:
-        gmap = find_glue_map(glue_group(l1), glue_group(l2), a1, a2)
+        gmap = find_glue_map(
+            t1 or check_isometry(l1, IntMatrix.identity(l1.rank)),
+            t2 or check_isometry(l2, IntMatrix.identity(l2.rank)),
+        )
     except NoGlueMapError as exc:
         print(f"no glue map: {exc} (obstruction: {exc.obstruction})", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except ValueError as exc:
         print(f"no glue map: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    result = glue(l1, l2, gmap)
+    result = glue(gmap)
     iso = extend_isometry(result, t1, t2) if t1 is not None and t2 is not None else None
     sys.stdout.write(format_lattice(result.ambient, iso))
     return EXIT_OK
@@ -98,8 +103,12 @@ def _cmd_twist(args):
     lattice, isometry = read_lattice_file(args.file)
     if isometry is None:
         raise LatticeParseError("twist requires an isometry section in the file")
+    poly = IntPoly(args.poly)
+    # Cayley-Hamilton: every polynomial in the isometry equals one of degree < rank
+    if poly.degree >= lattice.rank:
+        raise LatticeParseError(f"--poly has degree {poly.degree}, at least the rank {lattice.rank}")
     try:
-        twisted = twist(isometry, IntPoly(args.poly))
+        twisted = twist(isometry, poly)
     except ValueError as exc:
         print(f"twist failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -144,13 +153,16 @@ def _cmd_gram(args):
     return EXIT_OK
 
 
-def _int_at_least(minimum):
-    """argparse type: a decimal integer no smaller than minimum."""
+def _int_in_range(minimum, maximum=None):
+    """argparse type: a decimal integer no smaller than minimum and, when
+    maximum is given, no larger than maximum."""
+    bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
 
     def parse(text):
         # isdigit() alone admits characters such as '\u00b2' that int() rejects
-        if not (text.isascii() and text.isdigit()) or len(text) > MAX_DIGITS or int(text) < minimum:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {minimum}")
+        ok = text.isascii() and text.isdigit() and len(text) <= MAX_DIGITS
+        if not ok or int(text) < minimum or (maximum is not None and int(text) > maximum):
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer {bound}")
         return int(text)
 
     return parse
@@ -198,15 +210,15 @@ def build_parser():
     p.set_defaults(handler=_cmd_twist)
 
     p = sub.add_parser("table1", help="real-embedding signs and approximations")
-    p.add_argument("--digits", type=_int_at_least(1), default=None)
+    p.add_argument("--digits", type=_int_in_range(1, MAX_TABLE1_DIGITS), default=None)
     p.set_defaults(handler=_cmd_table1)
 
     p = sub.add_parser("trace-set", help="the trace set up to a bound")
-    p.add_argument("--max", required=True, type=_int_at_least(2))
+    p.add_argument("--max", required=True, type=_int_in_range(2))
     p.set_defaults(handler=_cmd_trace_set)
 
     p = sub.add_parser("cross-validate", help="closed form vs reconstruction")
-    p.add_argument("--max", required=True, type=_int_at_least(3))
+    p.add_argument("--max", required=True, type=_int_in_range(3))
     p.set_defaults(handler=_cmd_cross_validate)
 
     p = sub.add_parser("gram", help="emit an exact Gram matrix document")

@@ -17,6 +17,7 @@ from .arith import FactorizationBoundError, factorize
 from .lattices import (
     Lattice,
     check_isometry,
+    induced_glue_action,
     sylow_decomposition,
 )
 from .matrices import (
@@ -173,10 +174,13 @@ def anti_isometry_scalars(q1, q2, order):
 
 @dataclass(frozen=True)
 class GlueComponent:
-    prime: int
     matrix: IntMatrix  # generator images of comp1 on comp2's generators
     comp1: object
     comp2: object
+
+    @property
+    def prime(self):
+        return self.comp1.prime
 
     def image_coords(self, coords):
         return tuple(
@@ -351,7 +355,7 @@ def _find_exhaustive(action1, action2, comp1, comp2):
         j = len(assigned)
         if j == k:
             cols = [list(col) for col in assigned]
-            gc = GlueComponent(comp1.prime, IntMatrix(cols).transpose(), comp1, comp2)
+            gc = GlueComponent(IntMatrix(cols).transpose(), comp1, comp2)
             images = {tuple(gc.image_coords(e)) for e in product(*(range(d) for d in comp1.orders))}
             if len(images) != size:
                 return None
@@ -375,14 +379,15 @@ def _find_exhaustive(action1, action2, comp1, comp2):
     )
 
 
-def find_glue_map(group1, group2, action1, action2):
-    """Deterministic anti-isometric equivariant glue map, or NoGlueMapError.
+def find_glue_map(t1, t2):
+    """Deterministic anti-isometric glue map, equivariant for the actions
+    t1 and t2 induce on their lattices' glue groups, or NoGlueMapError.
 
     Primes are handled in increasing order; within each prime the first
     admissible candidate in a fixed enumeration is taken.
     """
-    if action1.glue is not group1 or action2.glue is not group2:
-        raise ValueError("actions do not belong to the given glue groups")
+    action1, action2 = induced_glue_action(t1), induced_glue_action(t2)
+    group1, group2 = action1.glue, action2.glue
     if group1.order != group2.order:
         raise ValueError("glue groups have different orders")
     for g in (group1, group2):
@@ -409,7 +414,7 @@ def find_glue_map(group1, group2, action1, action2):
                 matrix = _find_eigen(action1, action2, comp1, comp2, p)
             if matrix is None:
                 matrix = _find_exhaustive(action1, action2, comp1, comp2)
-        gc = GlueComponent(p, matrix, comp1, comp2)
+        gc = GlueComponent(matrix, comp1, comp2)
         bad = _verify_component(action1, action2, gc)
         if bad is not None:
             raise AssertionError(f"constructed glue component fails verification: {bad}")
@@ -417,9 +422,10 @@ def find_glue_map(group1, group2, action1, action2):
     return GlueMap(group1, group2, components)
 
 
-def verify_glue_map(gmap, action1, action2):
-    """Re-run every component check; None when clean, else the first
-    obstruction as "<prime>: <what failed>"."""
+def verify_glue_map(gmap, t1, t2):
+    """Re-run every component check for t1 and t2; None when clean, else
+    the first obstruction as "<prime>: <what failed>"."""
+    action1, action2 = induced_glue_action(t1), induced_glue_action(t2)
     for gc in gmap.components:
         bad = _verify_component(action1, action2, gc)
         if bad is not None:
@@ -436,21 +442,18 @@ class GluingResult:
     scale: int  # positive common denominator of the basis rows
     embed1: IntMatrix  # columns: L1 basis in ambient coordinates
     embed2: IntMatrix
-    lattice1: Lattice
-    lattice2: Lattice
     index: int
 
 
-def glue(l1, l2, gmap):
-    """Even unimodular overlattice of L1 (+) L2 along a glue map.
+def glue(gmap):
+    """Even unimodular overlattice of L1 (+) L2 along a glue map of
+    their glue groups.
 
     The ambient basis is the HNF of the stacked generators (L1 basis,
     L2 basis, graph lifts, all as numerators over one scale), so the
     output Gram matrix is canonical.
     """
-    # the glue groups' classify is the dual-membership check below
-    if gmap.group1.lattice != l1 or gmap.group2.lattice != l2:
-        raise ValueError("glue map does not belong to the given lattices")
+    l1, l2 = gmap.group1.lattice, gmap.group2.lattice
     n1, n = l1.rank, l1.rank + l2.rank
     scale = math.lcm(*(c.lift_den for gc in gmap.components for c in (gc.comp1, gc.comp2)))
     h, _ = hermite_normal_form(
@@ -492,7 +495,7 @@ def glue(l1, l2, gmap):
     index = abs(det(join_columns(embed1, embed2)))
     if index * index * abs(ambient.det) != abs(l1.det) * abs(l2.det):
         raise AssertionError("index law fails")
-    return GluingResult(ambient, basis, scale, embed1, embed2, l1, l2, index)
+    return GluingResult(ambient, basis, scale, embed1, embed2, index)
 
 
 def extend_isometry(result, t1, t2):
@@ -501,11 +504,13 @@ def extend_isometry(result, t1, t2):
     Raises when the diagonal action does not stabilize the ambient
     lattice (an equivariance violation upstream).
     """
-    # with B = basis / scale the extension is B^-T T B^T; the scale cancels
-    bt = result.basis.transpose()
-    ext, d = solve_rational(bt, block_diagonal(t1.matrix, t2.matrix) @ bt)
-    if d != 1:
-        raise ValueError("extension is not integral: glue map is not equivariant")
+    # the extension is B^-T T B^T, and the joined embeddings are scale B^-T
+    joined = join_columns(result.embed1, result.embed2)
+    product = joined @ block_diagonal(t1.matrix, t2.matrix) @ result.basis.transpose()
+    try:
+        ext = exact_quotient(product, result.scale)
+    except ValueError:
+        raise ValueError("extension is not integral: glue map is not equivariant") from None
     iso = check_isometry(result.ambient, ext)
     if iso.matrix @ result.embed1 != result.embed1 @ t1.matrix:
         raise AssertionError("extension does not restrict to the first isometry")

@@ -17,7 +17,6 @@ from .matrices import (
     det,
     kernel_basis,
     poly_of_matrix,
-    rational_inverse,
     signature_symmetric,
     smith_normal_form,
     solve_rational,
@@ -167,6 +166,7 @@ class GlueGroup(_FormTable):
     computed once, by sylow_decomposition."""
 
     lattice: Lattice
+    coord_rows: tuple  # rows of U in U G V = D at the orders: row j reads coordinate j off G y
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -182,10 +182,8 @@ class GlueGroup(_FormTable):
         gy = self.lattice._dual_image(nums, den)
         if gy is None:
             raise ValueError("vector is not in the dual lattice")
-        snf = self.lattice._cache["snf"]
         return tuple(
-            sum(u * c for u, c in zip(snf.U.row(i), gy)) % d
-            for i, d in enumerate(snf.diagonal) if d > 1
+            sum(u * c for u, c in zip(row, gy)) % d for row, d in zip(self.coord_rows, self.orders)
         )
 
 
@@ -194,7 +192,7 @@ def glue_group(lattice):
     and the form table from the Gram matrix X G X^T of their lifts."""
     if "glue" in lattice._cache:
         return lattice._cache["glue"]
-    snf = lattice._cache.setdefault("snf", smith_normal_form(lattice.gram))
+    snf = smith_normal_form(lattice.gram)
     # the orders form a divisibility chain, so the last one (the
     # exponent) is a denominator for every generator lift
     orders = [d for d in snf.diagonal if d > 1]
@@ -218,6 +216,7 @@ def glue_group(lattice):
             if lattice.is_even() else None
         ),
         lattice=lattice,
+        coord_rows=tuple(snf.U.row(i) for i, d in enumerate(snf.diagonal) if d > 1),
     )
     lattice._cache["glue"] = group
     return group
@@ -312,9 +311,8 @@ class GlueAction:
     """Automorphism of the glue group induced by an isometry; `matrix`
     column j holds the class of the image of generator j."""
 
-    def __init__(self, isometry, group):
-        self.isometry = isometry
-        self.glue = group
+    def __init__(self, isometry):
+        self.glue = group = glue_group(isometry.lattice)
         if group.lifts:
             images = isometry.matrix @ IntMatrix(group.lifts).transpose()
             cols = [group.classify(images.col(j), group.lift_den) for j in range(images.cols)]
@@ -344,7 +342,7 @@ class GlueAction:
 
 
 def induced_glue_action(isometry):
-    return GlueAction(isometry, glue_group(isometry.lattice))
+    return GlueAction(isometry)
 
 
 def twist(isometry, a_poly):
@@ -392,19 +390,13 @@ def orthogonal_complement(lattice, sub):
 
 
 def is_primitive(lattice, sub):
-    """Whether sub's columns span a primitive sublattice; returns
-    (flag, saturation) with the saturation basis as columns."""
+    """Whether sub's columns span a primitive sublattice."""
     if sub.rows != lattice.rank:
         raise ValueError("generator matrix has the wrong ambient rank")
-    snf = smith_normal_form(sub)
-    diag = snf.diagonal
+    diag = smith_normal_form(sub).diagonal
     if len(diag) < sub.cols or any(d == 0 for d in diag):
         raise ValueError("generators are not linearly independent")
-    uinv, den = rational_inverse(snf.U)
-    if den != 1:
-        raise AssertionError("Smith transform is not unimodular")
-    sat = IntMatrix([row[:sub.cols] for row in uinv.data])
-    return all(d == 1 for d in diag), sat
+    return all(d == 1 for d in diag)
 
 
 def restrict_isometry(isometry, basis):

@@ -256,7 +256,7 @@ def test_random_suites_and_corruption_isolation():
             5,
         )
         bad = next(c for c in range(1, 5) if c not in valid)
-        components.append(GlueComponent(5, IntMatrix([[bad]]), gc.comp1, gc.comp2))
+        components.append(GlueComponent(IntMatrix([[bad]]), gc.comp1, gc.comp2))
     broken.glue_map = GlueMap(gmap.group1, gmap.group2, components)
     report = certify(broken)
     assert [c.claim for c in report.failures()] == ["K3.glue_map"]

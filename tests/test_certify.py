@@ -14,7 +14,7 @@ from k3glue.certify import (
     certify,
 )
 from k3glue.gluing import GlueComponent, GlueMap, anti_isometry_scalars
-from k3glue.lattices import Lattice
+from k3glue.lattices import Lattice, check_isometry
 from k3glue.matrices import IntMatrix
 from k3glue.polynomials import IntPoly
 
@@ -147,10 +147,20 @@ def test_glue_scalar_corruption_fails_only_glue_map():
         valid = anti_isometry_scalars(q1, q2, 5)
         assert gc.matrix[0, 0] in valid
         bad = next(c for c in range(1, 5) if c not in valid)
-        components.append(GlueComponent(5, IntMatrix([[bad]]), gc.comp1, gc.comp2))
+        components.append(GlueComponent(IntMatrix([[bad]]), gc.comp1, gc.comp2))
     assembly.glue_map = GlueMap(gmap.group1, gmap.group2, components)
     report = certify(assembly)
     assert [c.claim for c in report.failures()] == ["K3.glue_map"]
+
+
+def test_isometry_corruption_fails_the_glue_map_check():
+    # K3.glue_map re-derives the actions from the assembly's own isometries
+    assembly = assemble_k3()
+    assembly.isometry1 = check_isometry(assembly.lattice1, -1 * assembly.isometry1.matrix)
+    report = certify(assembly)
+    glue_map = next(c for c in report.checks if c.claim == "K3.glue_map")
+    assert not glue_map.passed
+    assert glue_map.witness.endswith("obstruction=5: equivariance mismatch")
 
 
 def test_twist_factor_corruption_fails_only_unit_factors():

@@ -169,6 +169,20 @@ def test_env_digits_over_the_digit_limit_is_an_input_error():
     assert "Traceback" not in proc.stderr
 
 
+def test_table1_digits_over_the_bound_exit_2_quickly():
+    over = str(cli.MAX_TABLE1_DIGITS + 1)
+    by_flag = run_subprocess("table1", "--digits", over)
+    by_env = run_subprocess("table1", env=dict(os.environ, K3GLUE_DIGITS=over))
+    for proc in (by_flag, by_env):
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+    assert f"'{over}' is not an integer in [1, {cli.MAX_TABLE1_DIGITS}]" in by_flag.stderr
+    assert by_env.stderr.startswith(f"input error: K3GLUE_DIGITS='{over}'")
+    # the bound itself is accepted
+    assert cli._int_in_range(1, cli.MAX_TABLE1_DIGITS)(str(cli.MAX_TABLE1_DIGITS)) == 300
+
+
 def test_lattice_info_prints_a_determinant_over_the_digit_limit(tmp_path):
     # entries of 3001 digits parse, and det = 4 * 10^6000 must still print
     e = 2 * 10**3000
@@ -208,6 +222,18 @@ def test_twist(capsys, tmp_path):
     code, _, err = run(capsys, "twist", bare, "--poly", "3")
     assert code == 2
     assert "isometry" in err
+
+
+def test_twist_poly_of_degree_at_least_the_rank_is_an_input_error(capsys, tmp_path):
+    path = write(tmp_path, "l1.lat", L1_TEXT)
+    code, out, err = run(capsys, "twist", path, "--poly", "1,0,1")
+    assert code == 2
+    assert out == ""
+    assert err == "input error: --poly has degree 2, at least the rank 2\n"
+    # trailing zero coefficients do not raise the degree
+    code, out, _ = run(capsys, "twist", path, "--poly", "3,0,0")
+    assert code == 0
+    assert out.startswith("rank 2\ngram\n18006 9003\n")
 
 
 def test_table1_output(capsys):

@@ -33,16 +33,13 @@ def tv(value):
     return TorsionValue(Fraction(value) % 2, 2)
 
 
-def identity_action(lattice):
-    iso = check_isometry(lattice, IntMatrix.identity(lattice.rank))
-    return induced_glue_action(iso)
+def identity(lattice):
+    return check_isometry(lattice, IntMatrix.identity(lattice.rank))
 
 
 def glue_with_identities(l1, l2):
-    gmap = find_glue_map(
-        glue_group(l1), glue_group(l2), identity_action(l1), identity_action(l2)
-    )
-    return gmap, glue(l1, l2, gmap)
+    gmap = find_glue_map(identity(l1), identity(l2))
+    return gmap, glue(gmap)
 
 
 def test_anti_isometry_scalars():
@@ -65,7 +62,7 @@ def test_toy_glue_rank_one():
     assert amb.signature() == (1, 1)
     assert result.index == 2
     assert result.index**2 * abs(amb.det) == abs(l1.det) * abs(l2.det)
-    assert verify_glue_map(gmap, identity_action(l1), identity_action(l2)) is None
+    assert verify_glue_map(gmap, identity(l1), identity(l2)) is None
 
 
 def test_toy_glue_order_six():
@@ -101,7 +98,7 @@ def test_glue_trivial_groups():
 def test_no_glue_map_form_obstruction():
     l = Lattice([[2]])
     with pytest.raises(NoGlueMapError) as exc:
-        find_glue_map(glue_group(l), glue_group(l), identity_action(l), identity_action(l))
+        find_glue_map(identity(l), identity(l))
     assert exc.value.obstruction == "form mismatch"
 
 
@@ -109,25 +106,18 @@ def test_no_glue_map_equivariance_obstruction():
     l1, l2 = Lattice([[6]]), Lattice([[-6]])
     neg = check_isometry(l1, [[-1]])
     with pytest.raises(NoGlueMapError) as exc:
-        find_glue_map(
-            glue_group(l1),
-            glue_group(l2),
-            induced_glue_action(neg),
-            identity_action(l2),
-        )
+        find_glue_map(neg, identity(l2))
     assert exc.value.obstruction == "equivariance mismatch"
 
 
 def test_group_shape_rejections():
     l2, l6 = Lattice([[2]]), Lattice([[6]])
     with pytest.raises(ValueError, match="different orders"):
-        find_glue_map(glue_group(l2), glue_group(l6), identity_action(l2), identity_action(l6))
+        find_glue_map(identity(l2), identity(l6))
     odd = Lattice([[1]])
     modd = Lattice([[-1]])
     with pytest.raises(ValueError, match="even"):
-        find_glue_map(glue_group(odd), glue_group(modd), identity_action(odd), identity_action(modd))
-    with pytest.raises(ValueError, match="do not belong"):
-        find_glue_map(glue_group(l2), glue_group(l2), identity_action(l6), identity_action(l2))
+        find_glue_map(identity(odd), identity(modd))
 
 
 def test_sylow_shape_mismatch():
@@ -135,7 +125,7 @@ def test_sylow_shape_mismatch():
     l1 = Lattice([[4, 0], [0, 4]])
     l2 = Lattice([[-2, 0], [0, -8]])
     with pytest.raises(NoGlueMapError) as exc:
-        find_glue_map(glue_group(l1), glue_group(l2), identity_action(l1), identity_action(l2))
+        find_glue_map(identity(l1), identity(l2))
     assert exc.value.obstruction == "group mismatch"
 
 
@@ -163,8 +153,8 @@ def test_graph_pairs_and_matches_classes():
 def test_verify_glue_map_detects_corruption():
     l1, l2 = Lattice([[10]]), Lattice([[-10]])
     gmap, _ = glue_with_identities(l1, l2)
-    a1, a2 = identity_action(l1), identity_action(l2)
-    assert verify_glue_map(gmap, a1, a2) is None
+    t1, t2 = identity(l1), identity(l2)
+    assert verify_glue_map(gmap, t1, t2) is None
     assert [gc.prime for gc in gmap.components] == [2, 5]
     gc = next(c for c in gmap.components if c.prime == 5)
     g1, g2 = glue_group(l1), glue_group(l2)
@@ -176,13 +166,13 @@ def test_verify_glue_map_detects_corruption():
     assert gc.comp1.lifts[0] == (2,) and gc.comp1.lift_den == 10  # the lift 1/5
     bad_scalar = next(c for c in range(1, 5) if c not in valid)
     components = [
-        GlueComponent(c.prime, IntMatrix([[bad_scalar]]), c.comp1, c.comp2)
+        GlueComponent(IntMatrix([[bad_scalar]]), c.comp1, c.comp2)
         if c.prime == 5
         else c
         for c in gmap.components
     ]
     bad = GlueMap(gmap.group1, gmap.group2, components)
-    assert verify_glue_map(bad, a1, a2) == "5: form mismatch"
+    assert verify_glue_map(bad, t1, t2) == "5: form mismatch"
 
 
 def test_extend_isometry_diagonal():
@@ -375,9 +365,7 @@ def test_glue_rejects_a_graph_lift_outside_the_dual():
     comp1 = dataclasses.replace(gc.comp1, lifts=((1,),), lift_den=4)
     bad = GlueMap(gmap.group1, gmap.group2, [dataclasses.replace(gc, comp1=comp1)])
     with pytest.raises(AssertionError, match="outside the dual sum"):
-        glue(l1, l2, bad)
-    with pytest.raises(ValueError, match="does not belong"):
-        glue(l1, Lattice([[-6]]), gmap)
+        glue(bad)
     # unimodular summands are classified too: their dual is the lattice
     h = Lattice([[0, 1], [1, 0]])
     trivial = GlueMap(glue_group(h), glue_group(h), [])
@@ -431,15 +419,18 @@ def test_generated_pairs_glue_to_even_unimodular_lattices():
         if case % 3 == 0:
             tmat = IntMatrix.identity(rank)  # gluing without an isometry
         t1, t2 = check_isometry(lat, tmat), check_isometry(neg, tmat)
-        a1, a2 = induced_glue_action(t1), induced_glue_action(t2)
         # L (+) L(-1) glues along the identity anti-isometry (Nikulin)
-        gmap = find_glue_map(glue_group(lat), glue_group(neg), a1, a2)
-        assert verify_glue_map(gmap, a1, a2) is None
-        result = glue(lat, neg, gmap)
+        gmap = find_glue_map(t1, t2)
+        assert verify_glue_map(gmap, t1, t2) is None
+        result = glue(gmap)
         amb = result.ambient
         assert amb.is_even() and amb.is_unimodular()
         assert amb.signature() == (rank, rank)
         assert result.index**2 == lat.det**2
         ext = extend_isometry(result, t1, t2)
+        # oracle: solve B^T X = (T1 (+) T2) B^T for the ambient basis B
+        bt = result.basis.transpose()
+        solved, d = solve_rational(bt, block_diagonal(t1.matrix, t2.matrix) @ bt)
+        assert d == 1 and ext.matrix == solved
         assert ext.matrix @ result.embed1 == result.embed1 @ t1.matrix
         assert ext.matrix @ result.embed2 == result.embed2 @ t2.matrix
