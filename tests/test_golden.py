@@ -4,7 +4,11 @@ Each file under tests/golden/ holds the exact stdout of one command; a
 refactor that changes a single witness character fails here, where the
 determinism tests (same output twice in one process) would still pass.
 The lattice pair L, L(-1) is A2 + [[2,1],[1,-2]] with the isometry
-(rotation of order 3) + [[1,1],[1,2]], glue group Z/15.
+(rotation of order 3) + [[1,1],[1,2]], glue group Z/15. The pair swap,
+swap(-1) is A1 + A1 + A2 with the isometry swapping the two A1 blocks:
+glue orders (2, 6), so `lattice-info` prints an off-diagonal torsion_b
+line, and the 2-part of `glue` goes through the exhaustive search with
+a non-identity action.
 """
 
 import hashlib
@@ -29,6 +33,8 @@ CASES = {
     "lattice_info_l": ["lattice-info", "{golden}/pair_l.lat"],
     "lattice_info_l_neg": ["lattice-info", "{golden}/pair_l_neg.lat"],
     "glue_l_l_neg": ["glue", "{golden}/pair_l.lat", "{golden}/pair_l_neg.lat"],
+    "lattice_info_swap": ["lattice-info", "{golden}/pair_swap.lat"],
+    "glue_swap_swap_neg": ["glue", "{golden}/pair_swap.lat", "{golden}/pair_swap_neg.lat"],
 }
 
 
