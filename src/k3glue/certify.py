@@ -118,19 +118,14 @@ class CertificationReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
+@dataclass(frozen=True)
 class K3Assembly:
-    """Every object the certification inspects, in one mutable bundle.
+    """Every object the certification inspects, each held once: the
+    lattices are the isometries' and the field is the twisting
+    element's."""
 
-    Mutability is for negative testing: corrupt one field, re-run
-    certify(), and watch exactly the checks that own the claim fail.
-    """
-
-    field: CycloField
     parts: dict
-    lattice1: Lattice
     isometry1: object
-    lattice2: Lattice
     isometry2: object
     glue_map: object
     result: object
@@ -154,12 +149,12 @@ def assemble_k3():
     """Run the full construction and return all intermediate objects."""
     field = CycloField(50)
     parts = twist_element_parts(field)
-    l1, t1 = build_l1()
-    l2, t2 = build_trace_form_lattice(field, parts["a"])
+    _, t1 = build_l1()
+    _, t2 = build_trace_form_lattice(field, parts["a"])
     gmap = find_glue_map(t1, t2)
     result = glue(gmap)
     iso = extend_isometry(result, t1, t2)
-    return K3Assembly(field, parts, l1, t1, l2, t2, gmap, result, iso)
+    return K3Assembly(parts, t1, t2, gmap, result, iso)
 
 
 def _mat(m):
@@ -220,8 +215,8 @@ def certify(assembly=None):
             shared[key] = maker()
         return shared[key]
 
-    l1, t1 = assembly.lattice1, assembly.isometry1
-    l2, t2 = assembly.lattice2, assembly.isometry2
+    t1, t2 = assembly.isometry1, assembly.isometry2
+    l1, l2 = t1.lattice, t2.lattice
     phi50 = cyclotomic_poly(50)
 
     # --- rank-2 piece ---------------------------------------------------
@@ -255,8 +250,8 @@ def certify(assembly=None):
         v = L1_FIVE_GENERATOR_NUMERATORS
         coords = g.classify(v, 5)
         order, q = g.class_order(coords), g.quadratic(coords)
-        ok = g.lattice.in_dual(v, 5) and order == 5 and q.value == Fraction(2, 5)
-        return ok, f"v={_vec(Fraction(c, 5) for c in v)} order={order} q={q}"
+        ok = g.lattice.in_dual(v, 5) and order == 5 and q == Fraction(2, 5)
+        return ok, f"v={_vec(Fraction(c, 5) for c in v)} order={order} q={q} mod 2"
 
     run("L1.glue.5part.generator", l1_generator)
 
@@ -299,7 +294,6 @@ def certify(assembly=None):
     a = assembly.parts["a"]
     u1, u2 = assembly.parts["u1"], assembly.parts["u2"]
     a_prime = assembly.parts["a_prime"]
-    field = assembly.field
 
     run("element.integral", lambda: (
         a.is_integral(), f"coeffs={_vec(a.coeffs)}",
@@ -315,7 +309,7 @@ def certify(assembly=None):
     run("element.unit_factors", unit_norms)
 
     def element_norm():
-        psi = field.psi_n
+        psi = a.field.psi_n
         na = norm_real_subfield(real_subfield(a))
         nap = norm_real_subfield(real_subfield(a_prime))
         quot = Fraction(psi(3), psi(-2))
@@ -372,9 +366,9 @@ def certify(assembly=None):
             g.lattice.in_dual(v, 5)
             and norm == Fraction(-142, 5)
             and order == 5
-            and q.value == Fraction(8, 5)  # -2/5 mod 2
+            and q == Fraction(8, 5)  # -2/5 mod 2
         )
-        return ok, f"b(v,v)={norm} order={order} q={q} (-2/5 mod 2)"
+        return ok, f"b(v,v)={norm} order={order} q={q} mod 2 (-2/5 mod 2)"
 
     run("L2.glue.5part.generator", l2_generator)
     run("L2.glue.5part.action", lambda: five_action(l2, t2))

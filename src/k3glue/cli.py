@@ -15,7 +15,13 @@ from .certify import EMBEDDING_DIGITS, assemble_k3, build_l1, build_l2, certify
 from .cyclotomic import CycloField, dpsi_quotient, real_embedding_signs, real_subfield, twist_element_parts
 from .gluing import NoGlueMapError, extend_isometry, find_glue_map, glue
 from .lattices import check_isometry, glue_group, twist
-from .latticeio import MAX_DIGITS, LatticeParseError, format_lattice, read_lattice_file
+from .latticeio import (
+    MAX_DIGITS,
+    LatticeParseError,
+    decimal_digits,
+    format_lattice,
+    read_lattice_file,
+)
 from .matrices import IntMatrix, charpoly
 from .polynomials import IntPoly
 from .salem import cross_validate, theorem_b_set
@@ -66,12 +72,10 @@ def _cmd_lattice_info(args):
     units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
     for i in range(k):
         for j in range(i, k):
-            v = group.bilinear(units[i], units[j])
-            out.append(f"torsion_b {i + 1} {j + 1} {v.value} mod 1")
+            out.append(f"torsion_b {i + 1} {j + 1} {group.bilinear(units[i], units[j])} mod 1")
     if lattice.is_even():
         for i in range(k):
-            v = group.quadratic(units[i])
-            out.append(f"torsion_q {i + 1} {v.value} mod 2")
+            out.append(f"torsion_q {i + 1} {group.quadratic(units[i])} mod 2")
     if isometry is not None:
         out.append(f"isometry_charpoly {isometry.charpoly()}")
     print("\n".join(out))
@@ -159,8 +163,8 @@ def _int_in_range(minimum, maximum=None):
     bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
 
     def parse(text):
-        # isdigit() alone admits characters such as '\u00b2' that int() rejects
-        ok = text.isascii() and text.isdigit() and len(text) <= MAX_DIGITS
+        digits = decimal_digits(text)
+        ok = digits is not None and digits <= MAX_DIGITS
         if not ok or int(text) < minimum or (maximum is not None and int(text) > maximum):
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer {bound}")
         return int(text)
@@ -172,9 +176,11 @@ def _int_list(text):
     out = []
     for tok in text.split(","):
         tok = tok.strip()
-        body = tok[1:] if tok.startswith("-") else tok
-        if not (body.isascii() and body.isdigit()):
+        digits = decimal_digits(tok)
+        if digits is None:
             raise argparse.ArgumentTypeError(f"{tok!r} is not an integer")
+        if digits > MAX_DIGITS:
+            raise argparse.ArgumentTypeError(f"a coefficient has more than {MAX_DIGITS} digits")
         out.append(int(tok))
     if not out:
         raise argparse.ArgumentTypeError("empty coefficient list")

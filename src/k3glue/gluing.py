@@ -127,7 +127,8 @@ def _root_classes(a, b, r, k):
 def anti_isometry_scalars(q1, q2, order):
     """Unit scalars c mod `order` with c^2 q2 = -q1 in Q/2Z, ascending.
 
-    `order` must be a prime power p^e. Over the common denominator L of
+    q1 and q2 are quadratic torsion values in [0, 2) and `order` must be
+    a prime power p^e. Over the common denominator L of
     the values the condition is the integer congruence
     c^2 L q2 = -L q1 mod 2L, solved prime by prime of 2L by modular
     square roots and joined by the Chinese remainder theorem. For values
@@ -135,16 +136,14 @@ def anti_isometry_scalars(q1, q2, order):
     log(order) plus the size of the answer; each scalar returned is
     re-checked against the condition in Q/2Z.
     """
-    if q1.modulus != 2 or q2.modulus != 2:
-        raise ValueError("quadratic torsion values required")
     if order == 1:
         return ()
     primes = factorize(order) if order > 1 else {}
     if len(primes) != 1:
         raise ValueError(f"order {order} is not a prime power")
     (p,) = primes
-    den = math.lcm(q1.value.denominator, q2.value.denominator)
-    a, b = int(q2.value * den), int(-q1.value * den)
+    den = math.lcm(q1.denominator, q2.denominator)
+    a, b = int(q2 * den), int(-q1 * den)
     # 2L is a power of 2 times a power of p for values of a p-part; only
     # a foreign denominator leaves a cofactor for factorize
     rest, modulus = 2 * den, {}
@@ -167,7 +166,7 @@ def anti_isometry_scalars(q1, q2, order):
         out.extend(c for c in range(s or n, order, n) if c % p)
     out.sort()
     for c in out:
-        if (c * c * q2.value + q1.value) % 2 != 0 or math.gcd(c, order) != 1:
+        if (c * c * q2 + q1) % 2 != 0 or math.gcd(c, order) != 1:
             raise AssertionError(f"scalar {c} fails the anti-isometry condition")
     return tuple(out)
 
@@ -225,7 +224,7 @@ class GlueMap:
 
 def _pair_num(comp, coords_a, coords_b, p):
     """Numerator mod p of the torsion pairing of two p-part classes."""
-    return int(comp.bilinear(coords_a, coords_b).value * p) % p
+    return int(comp.bilinear(coords_a, coords_b) * p) % p
 
 
 def _verify_component(action1, action2, gc):
@@ -239,8 +238,7 @@ def _verify_component(action1, action2, gc):
             probes.append(tuple(a + b for a, b in zip(basis[i], basis[j])))
     for coords in probes:
         image = gc.image_coords(coords)
-        q = gc.comp1.quadratic(coords).value + gc.comp2.quadratic(image).value
-        if q % 2 != 0:
+        if (gc.comp1.quadratic(coords) + gc.comp2.quadratic(image)) % 2 != 0:
             return "form mismatch"
     left = gc.matrix @ action1.sylow_matrix(gc.comp1)
     right = action2.sylow_matrix(gc.comp2) @ gc.matrix
@@ -309,7 +307,7 @@ def _find_eigen(action1, action2, comp1, comp2, p):
     (lam, v1), (mu, w1) = s1
     (_, v2), (_, w2) = s2
     for comp, vec in ((comp1, v1), (comp1, w1), (comp2, v2), (comp2, w2)):
-        if comp.quadratic(vec).value != 0:
+        if comp.quadratic(vec) != 0:
             return None  # eigenlines not isotropic; let the fallback decide
     b1 = _pair_num(comp1, v1, w1, p)
     b2 = _pair_num(comp2, v2, w2, p)
@@ -340,11 +338,10 @@ def _find_exhaustive(action1, action2, comp1, comp2):
     def admissible(assigned, j, cand):
         if comp2.class_order(cand) != comp1.orders[j]:
             return False
-        if (comp1.quadratic(basis[j]).value + comp2.quadratic(cand).value) % 2 != 0:
+        if (comp1.quadratic(basis[j]) + comp2.quadratic(cand)) % 2 != 0:
             return False
         for i, prev in enumerate(assigned):
-            want = -comp1.bilinear(basis[i], basis[j]).value % 1
-            if comp2.bilinear(prev, cand).value != want:
+            if comp2.bilinear(prev, cand) != -comp1.bilinear(basis[i], basis[j]) % 1:
                 return False
         return True
 
@@ -354,11 +351,9 @@ def _find_exhaustive(action1, action2, comp1, comp2):
         nonlocal form_only_found
         j = len(assigned)
         if j == k:
-            cols = [list(col) for col in assigned]
-            gc = GlueComponent(IntMatrix(cols).transpose(), comp1, comp2)
-            images = {tuple(gc.image_coords(e)) for e in product(*(range(d) for d in comp1.orders))}
-            if len(images) != size:
-                return None
+            # orders, q and b agree on the generators, so gamma is an
+            # anti-isometry of a nondegenerate form: injective, hence onto
+            gc = GlueComponent(IntMatrix(assigned).transpose(), comp1, comp2)
             form_only_found = True
             if _verify_component(action1, action2, gc) is None:
                 return gc.matrix
@@ -442,7 +437,6 @@ class GluingResult:
     scale: int  # positive common denominator of the basis rows
     embed1: IntMatrix  # columns: L1 basis in ambient coordinates
     embed2: IntMatrix
-    index: int
 
 
 def glue(gmap):
@@ -495,7 +489,7 @@ def glue(gmap):
     index = abs(det(join_columns(embed1, embed2)))
     if index * index * abs(ambient.det) != abs(l1.det) * abs(l2.det):
         raise AssertionError("index law fails")
-    return GluingResult(ambient, basis, scale, embed1, embed2, index)
+    return GluingResult(ambient, basis, scale, embed1, embed2)
 
 
 def extend_isometry(result, t1, t2):

@@ -30,12 +30,19 @@ class LatticeParseError(ValueError):
     """Malformed or mathematically invalid lattice document."""
 
 
-def _parse_int(token, where):
-    # int() tolerates '+3' and '3_0'; a lattice document must not
+def decimal_digits(token):
+    """Digit count of a plain decimal integer token (an optional leading
+    '-', then ASCII digits), else None. int() also takes '+3', '3_0',
+    ' 3' and digits such as '\u0663'; no input path may."""
     body = token[1:] if token.startswith("-") else token
-    if not (body.isascii() and body.isdigit()):
+    return len(body) if body.isascii() and body.isdigit() else None
+
+
+def _parse_int(token, where):
+    digits = decimal_digits(token)
+    if digits is None:
         raise LatticeParseError(f"{where}: {token!r} is not a decimal integer")
-    if len(body) > MAX_DIGITS:
+    if digits > MAX_DIGITS:
         raise LatticeParseError(f"{where}: an entry has more than {MAX_DIGITS} digits")
     return int(token)
 

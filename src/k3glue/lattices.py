@@ -83,17 +83,6 @@ class Lattice:
         return f"Lattice(rank={self.rank}, det={self.det})"
 
 
-@dataclass(frozen=True)
-class TorsionValue:
-    """Canonical residue: value in [0, modulus) with modulus 1 or 2."""
-
-    value: Fraction
-    modulus: int
-
-    def __str__(self):
-        return f"{self.value} mod {self.modulus}"
-
-
 @dataclass(frozen=True, eq=False)
 class _FormTable:
     """A finite group on cyclic generators with generator lifts in
@@ -138,15 +127,15 @@ class _FormTable:
                 raise ValueError("a class is a tuple of integer coordinates, one per generator")
 
     def bilinear(self, a, b):
-        """Torsion bilinear value b(a, b) mod 1 of two classes."""
+        """Torsion bilinear value b(a, b) mod 1 of two classes, in [0, 1)."""
         self._check(a, b)
         num = sum(
             x * sum(y * n for y, n in zip(b, row)) for x, row in zip(a, self.pair_nums) if x
         )
-        return TorsionValue(Fraction(num % self.den, self.den), 1)
+        return Fraction(num % self.den, self.den)
 
     def quadratic(self, c):
-        """Torsion quadratic value of a class, even lattices only:
+        """Torsion quadratic value of a class in [0, 2), even lattices only:
         q(sum c_i x_i) = sum c_i^2 q_i + 2 sum_{i<j} c_i c_j b_ij mod 2."""
         if self.norm_nums is None:
             raise ValueError("quadratic torsion form needs an even lattice")
@@ -156,7 +145,7 @@ class _FormTable:
             if x:
                 rest = sum(y * n for y, n in zip(c[i + 1:], row[i + 1:]))
                 num += x * (x * self.norm_nums[i] + 2 * rest)
-        return TorsionValue(Fraction(num % (2 * self.den), self.den), 2)
+        return Fraction(num % (2 * self.den), self.den)
 
 
 @dataclass(frozen=True, eq=False)

@@ -142,13 +142,14 @@ def test_glue_invariants_are_the_exact_claimed_values(assembly):
 
     assert class_order_of(FIVE_GEN_L1) == 5
     g1, g2 = gmap.group1, gmap.group2
-    assert g1.quadratic(g1.classify(over_five(FIVE_GEN_L1), 5)).value == Fraction(2, 5)
-    assert norm(assembly.lattice1, FIVE_GEN_L1) % 2 == Fraction(2, 5)
+    l1, l2 = assembly.isometry1.lattice, assembly.isometry2.lattice
+    assert g1.quadratic(g1.classify(over_five(FIVE_GEN_L1), 5)) == Fraction(2, 5)
+    assert norm(l1, FIVE_GEN_L1) % 2 == Fraction(2, 5)
     assert class_order_of(FIVE_GEN_L2) == 5
-    assert norm(assembly.lattice2, FIVE_GEN_L2) == Fraction(-142, 5)
+    assert norm(l2, FIVE_GEN_L2) == Fraction(-142, 5)
     v2 = over_five(FIVE_GEN_L2)
-    assert Fraction(assembly.lattice2.bilinear(v2, v2), 25) == Fraction(-142, 5)
-    assert g2.quadratic(g2.classify(v2, 5)).value == Fraction(8, 5)  # -2/5 mod 2
+    assert Fraction(l2.bilinear(v2, v2), 25) == Fraction(-142, 5)
+    assert g2.quadratic(g2.classify(v2, 5)) == Fraction(8, 5)  # -2/5 mod 2
 
     a1 = induced_glue_action(assembly.isometry1)
     a2 = induced_glue_action(assembly.isometry2)
@@ -234,16 +235,17 @@ def test_random_suites_and_corruption_isolation():
     twisted = twist(t1, IntPoly([3]))
     assert twisted.det == 3 ** l1.rank * l1.det
 
-    broken = assemble_k3()
-    g = [list(row) for row in broken.result.ambient.gram.data]
+    assembly = assemble_k3()
+    g = [list(row) for row in assembly.result.ambient.gram.data]
     g[0][1] += 1
     g[1][0] += 1
-    broken.result = dataclasses.replace(broken.result, ambient=Lattice(g))
+    broken = dataclasses.replace(
+        assembly, result=dataclasses.replace(assembly.result, ambient=Lattice(g))
+    )
     report = certify(broken)
     assert [c.claim for c in report.failures()] == ["K3.unimodular"]
 
-    broken = assemble_k3()
-    gmap = broken.glue_map
+    gmap = assembly.glue_map
     components = []
     for gc in gmap.components:
         if gc.prime != 5:
@@ -257,6 +259,6 @@ def test_random_suites_and_corruption_isolation():
         )
         bad = next(c for c in range(1, 5) if c not in valid)
         components.append(GlueComponent(IntMatrix([[bad]]), gc.comp1, gc.comp2))
-    broken.glue_map = GlueMap(gmap.group1, gmap.group2, components)
+    broken = dataclasses.replace(assembly, glue_map=GlueMap(gmap.group1, gmap.group2, components))
     report = certify(broken)
     assert [c.claim for c in report.failures()] == ["K3.glue_map"]

@@ -14,8 +14,8 @@ from k3glue.certify import (
     certify,
 )
 from k3glue.gluing import GlueComponent, GlueMap, anti_isometry_scalars
-from k3glue.lattices import Lattice, check_isometry
-from k3glue.matrices import IntMatrix
+from k3glue.lattices import Isometry, Lattice, check_isometry
+from k3glue.matrices import IntMatrix, det, join_columns
 from k3glue.polynomials import IntPoly
 
 CLAIMS = (
@@ -89,8 +89,14 @@ def test_assembly_shape():
     assembly = assemble_k3()
     amb = assembly.result.ambient
     assert amb.rank == 22
-    assert assembly.result.index**2 == GLUE_ORDER**2
+    result = assembly.result
+    assert abs(det(join_columns(result.embed1, result.embed2))) == GLUE_ORDER
     assert assembly.isometry.lattice is amb
+    assert [f.name for f in dataclasses.fields(assembly)] == [
+        "parts", "isometry1", "isometry2", "glue_map", "result", "isometry",
+    ]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        assembly.result = None
 
 
 def test_machine_output_is_deterministic():
@@ -117,7 +123,9 @@ def test_gram_corruption_fails_only_unimodularity():
     g = [list(row) for row in assembly.result.ambient.gram.data]
     g[0][1] += 1
     g[1][0] += 1
-    assembly.result = dataclasses.replace(assembly.result, ambient=Lattice(g))
+    assembly = dataclasses.replace(
+        assembly, result=dataclasses.replace(assembly.result, ambient=Lattice(g))
+    )
     report = certify(assembly)
     assert not report.passed
     assert [c.claim for c in report.failures()] == ["K3.unimodular"]
@@ -143,12 +151,14 @@ def test_glue_scalar_corruption_fails_only_glue_map():
         for g, comp, q in ((g1, gc.comp1, q1), (g2, gc.comp2, q2)):
             x = [Fraction(c, comp.lift_den) for c in comp.lifts[0]]
             gram = g.lattice.gram.data
-            assert q.value == sum(a * e * b for a, row in zip(x, gram) for e, b in zip(row, x)) % 2
+            assert q == sum(a * e * b for a, row in zip(x, gram) for e, b in zip(row, x)) % 2
         valid = anti_isometry_scalars(q1, q2, 5)
         assert gc.matrix[0, 0] in valid
         bad = next(c for c in range(1, 5) if c not in valid)
         components.append(GlueComponent(IntMatrix([[bad]]), gc.comp1, gc.comp2))
-    assembly.glue_map = GlueMap(gmap.group1, gmap.group2, components)
+    assembly = dataclasses.replace(
+        assembly, glue_map=GlueMap(gmap.group1, gmap.group2, components)
+    )
     report = certify(assembly)
     assert [c.claim for c in report.failures()] == ["K3.glue_map"]
 
@@ -156,26 +166,39 @@ def test_glue_scalar_corruption_fails_only_glue_map():
 def test_isometry_corruption_fails_the_glue_map_check():
     # K3.glue_map re-derives the actions from the assembly's own isometries
     assembly = assemble_k3()
-    assembly.isometry1 = check_isometry(assembly.lattice1, -1 * assembly.isometry1.matrix)
+    t1 = assembly.isometry1
+    assembly = dataclasses.replace(assembly, isometry1=check_isometry(t1.lattice, -1 * t1.matrix))
     report = certify(assembly)
     glue_map = next(c for c in report.checks if c.claim == "K3.glue_map")
     assert not glue_map.passed
     assert glue_map.witness.endswith("obstruction=5: equivariance mismatch")
 
 
+def test_lattice1_corruption_reaches_every_check_that_reads_it():
+    # the L1 checks and K3.glue_map read one lattice, the isometry's own
+    assembly = assemble_k3()
+    t1 = assembly.isometry1
+    g = [list(row) for row in t1.lattice.gram.data]
+    g[0][1] += 1
+    g[1][0] += 1
+    report = certify(dataclasses.replace(assembly, isometry1=Isometry(Lattice(g), t1.matrix)))
+    failed = {c.claim for c in report.failures()}
+    assert {"L1.gram", "K3.glue_map"} <= failed
+    assert not [c for c in failed if c.startswith(("L2.", "element.", "F."))]
+
+
 def test_twist_factor_corruption_fails_only_unit_factors():
     # u1 + 1 and -u2 keep unit norms; only a = u1 * u2 * a' catches them
+    assembly = assemble_k3()
     for name, corrupt in (("u1", lambda u: u + 1), ("u2", lambda u: -1 * u)):
-        assembly = assemble_k3()
-        assembly.parts = dict(assembly.parts, **{name: corrupt(assembly.parts[name])})
-        report = certify(assembly)
+        parts = dict(assembly.parts, **{name: corrupt(assembly.parts[name])})
+        report = certify(dataclasses.replace(assembly, parts=parts))
         assert {c.claim for c in report.failures()} == {"element.unit_factors"}, name
 
 
 def test_certify_swallows_probe_exceptions_into_failures():
-    assembly = assemble_k3()
-    assembly.result = None  # everything reading the gluing result must fail closed
-    report = certify(assembly)
+    # everything reading the gluing result must fail closed
+    report = certify(dataclasses.replace(assemble_k3(), result=None))
     assert not report.passed
     failed = {c.claim for c in report.failures()}
     assert "K3.rank" in failed

@@ -6,6 +6,7 @@ import pytest
 
 from k3glue import cli
 from k3glue.cli import main
+from k3glue.latticeio import MAX_DIGITS
 
 L1_TEXT = "rank 2\ngram\n6002 3001\n3001 -6002\nisometry\n1 1\n1 2\n"
 
@@ -234,6 +235,19 @@ def test_twist_poly_of_degree_at_least_the_rank_is_an_input_error(capsys, tmp_pa
     code, out, _ = run(capsys, "twist", path, "--poly", "3,0,0")
     assert code == 0
     assert out.startswith("rank 2\ngram\n18006 9003\n")
+
+
+def test_twist_poly_coefficient_over_the_digit_limit_exits_2(capsys):
+    # the coefficient parser bounds the digits itself, with its own message,
+    # instead of echoing the token through argparse's generic error
+    with pytest.raises(SystemExit) as exc:
+        main(["twist", "x.lat", "--poly", "1," + "9" * 5000])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"a coefficient has more than {MAX_DIGITS} digits" in err
+    assert "9" * 100 not in err
+    # the limit itself parses
+    assert cli._int_list("1,-" + "9" * MAX_DIGITS) == [1, 1 - 10**MAX_DIGITS]
 
 
 def test_table1_output(capsys):

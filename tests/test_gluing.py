@@ -2,9 +2,11 @@ import dataclasses
 import random
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 
 import pytest
 
+from k3glue import gluing
 from k3glue.arith import factorize
 from k3glue.gluing import (
     GlueComponent,
@@ -20,17 +22,22 @@ from k3glue.gluing import (
 )
 from k3glue.lattices import (
     Lattice,
-    TorsionValue,
     check_isometry,
     glue_group,
     induced_glue_action,
     sylow_decomposition,
 )
-from k3glue.matrices import IntMatrix, block_diagonal, solve_rational
+from k3glue.matrices import IntMatrix, block_diagonal, det, join_columns, solve_rational
 
 
 def tv(value):
-    return TorsionValue(Fraction(value) % 2, 2)
+    """A quadratic torsion value: a Fraction in [0, 2)."""
+    return Fraction(value) % 2
+
+
+def overlattice_index(result):
+    """[ambient : L1 (+) L2], the determinant of the joined embeddings."""
+    return abs(det(join_columns(result.embed1, result.embed2)))
 
 
 def identity(lattice):
@@ -49,8 +56,6 @@ def test_anti_isometry_scalars():
     assert anti_isometry_scalars(tv(Fraction(2, 5)), tv(Fraction(2, 5)), 5) == (2, 3)
     assert anti_isometry_scalars(tv(Fraction(1, 2)), tv(Fraction(1, 2)), 2) == ()
     assert anti_isometry_scalars(tv(Fraction(1, 2)), tv(Fraction(3, 2)), 2) == (1,)
-    with pytest.raises(ValueError):
-        anti_isometry_scalars(TorsionValue(Fraction(1, 2), 1), tv(1), 2)
 
 
 def test_toy_glue_rank_one():
@@ -60,8 +65,8 @@ def test_toy_glue_rank_one():
     assert amb.rank == 2
     assert amb.is_even() and amb.is_unimodular()
     assert amb.signature() == (1, 1)
-    assert result.index == 2
-    assert result.index**2 * abs(amb.det) == abs(l1.det) * abs(l2.det)
+    assert overlattice_index(result) == 2
+    assert overlattice_index(result) ** 2 * abs(amb.det) == abs(l1.det) * abs(l2.det)
     assert verify_glue_map(gmap, identity(l1), identity(l2)) is None
 
 
@@ -72,7 +77,7 @@ def test_toy_glue_order_six():
     assert amb.rank == 2 and amb.is_even() and amb.is_unimodular()
     assert amb.det == -1
     assert amb.signature() == (1, 1)
-    assert result.index == 6
+    assert overlattice_index(result) == 6
 
 
 def test_glue_exhaustive_two_generator_component():
@@ -83,14 +88,14 @@ def test_glue_exhaustive_two_generator_component():
     assert result.ambient.rank == 4
     assert result.ambient.is_even() and result.ambient.is_unimodular()
     assert result.ambient.signature() == (2, 2)
-    assert result.index == 4
+    assert overlattice_index(result) == 4
 
 
 def test_glue_trivial_groups():
     h = Lattice([[0, 1], [1, 0]])
     gmap, result = glue_with_identities(h, h)
     assert gmap.components == ()
-    assert result.index == 1
+    assert overlattice_index(result) == 1
     assert result.ambient.rank == 4
     assert result.ambient.is_unimodular()
 
@@ -142,8 +147,8 @@ def test_graph_pairs_and_matches_classes():
             assert gmap.matches_classes(x, y, den)
             # the pairing must be anti-isometric on the graph; the
             # Fraction-form oracle is b(v, v) of the lifts mod 2
-            q1 = g1.quadratic(g1.classify(x, den)).value
-            q2 = g2.quadratic(g2.classify(y, den)).value
+            q1 = g1.quadratic(g1.classify(x, den))
+            q2 = g2.quadratic(g2.classify(y, den))
             assert q1 == Fraction(l1.bilinear(x, x), den * den) % 2
             assert q2 == Fraction(l2.bilinear(y, y), den * den) % 2
             assert (q1 + q2) % 2 == 0
@@ -238,7 +243,7 @@ def test_anti_isometry_scalars_at_a_large_prime():
     assert anti_isometry_scalars(zero, half, 2**60) == ()
     # c^2 = 1 mod 2^60 has four roots below 2^60
     h = tv(Fraction(1, 2**59))
-    assert anti_isometry_scalars(h, tv(-h.value), 2**60) == (
+    assert anti_isometry_scalars(h, tv(-h), 2**60) == (
         1, 2**59 - 1, 2**59 + 1, 2**60 - 1,
     )
 
@@ -311,9 +316,9 @@ def test_sylow_tables_match_the_torsion_form():
         assert [c.prime for c in comps] == list(group.prime_support)
         if not group.orders:
             assert comps == ()
-            assert group.bilinear((), ()).value == 0
+            assert group.bilinear((), ()) == 0
             if lat.is_even():
-                assert group.quadratic(()).value == 0
+                assert group.quadratic(()) == 0
             continue
         for table in (group, *comps):
             for _ in range(20):
@@ -331,9 +336,9 @@ def test_sylow_tables_match_the_torsion_form():
                     return sum(a * g * w for a, row in zip(u, lat.gram.data) for g, w in zip(row, v))
 
                 assert table.den == table.lift_den**2
-                assert table.bilinear(c, e).value == b(x, y) % 1
+                assert table.bilinear(c, e) == b(x, y) % 1
                 if lat.is_even():
-                    assert table.quadratic(c).value == b(x, x) % 2
+                    assert table.quadratic(c) == b(x, x) % 2
                 else:
                     with pytest.raises(ValueError, match="even"):
                         table.quadratic(c)
@@ -426,7 +431,7 @@ def test_generated_pairs_glue_to_even_unimodular_lattices():
         amb = result.ambient
         assert amb.is_even() and amb.is_unimodular()
         assert amb.signature() == (rank, rank)
-        assert result.index**2 == lat.det**2
+        assert overlattice_index(result) ** 2 == lat.det**2
         ext = extend_isometry(result, t1, t2)
         # oracle: solve B^T X = (T1 (+) T2) B^T for the ambient basis B
         bt = result.basis.transpose()
@@ -434,3 +439,44 @@ def test_generated_pairs_glue_to_even_unimodular_lattices():
         assert d == 1 and ext.matrix == solved
         assert ext.matrix @ result.embed1 == result.embed1 @ t1.matrix
         assert ext.matrix @ result.embed2 == result.embed2 @ t2.matrix
+
+
+def test_exhaustive_search_finds_bijections(monkeypatch):
+    # the search keeps no bijectivity pass of its own: generator orders, q
+    # and b already match, so each component it returns must be a bijection
+    found = []
+    search = gluing._find_exhaustive
+
+    def spy(action1, action2, comp1, comp2):
+        matrix = search(action1, action2, comp1, comp2)
+        found.append(GlueComponent(matrix, comp1, comp2))
+        return matrix
+
+    monkeypatch.setattr(gluing, "_find_exhaustive", spy)
+    rng = random.Random(79)
+    a2, rotation, swap = [[2, -1], [-1, 2]], [[0, -1], [1, -1]], [[0, 1], [1, 0]]
+    for case in range(8):
+        # k A1 blocks of one sign, then two A2 blocks of one sign: 2-part
+        # (Z/2)^k, and an anisotropic 3-part (Z/3)^2 the eigenline path skips
+        k, s1, s2 = 2 + case % 2, rng.choice((1, -1)), rng.choice((1, -1))
+        a1_iso = rng.choice((swap, [[-1, 0], [0, 1]], [[1, 0], [0, 1]]))
+        a2_iso = rng.choice((
+            block_diagonal(IntMatrix(rotation), IntMatrix(rotation)),
+            IntMatrix([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]),
+            -1 * IntMatrix.identity(4),
+        ))
+        d = reduce(block_diagonal, [IntMatrix([[2 * s1]])] * k + [s2 * IntMatrix(a2)] * 2)
+        t = reduce(block_diagonal, [IntMatrix(a1_iso)] + [IntMatrix([[1]])] * (k - 2) + [a2_iso])
+        u, uinv = _unimodular(rng, k + 4)
+        lat = Lattice(u.transpose() @ d @ u)
+        tmat = uinv @ t @ u
+        t1 = check_isometry(lat, tmat)
+        t2 = check_isometry(Lattice(-1 * lat.gram), tmat)
+        found.clear()
+        gmap = find_glue_map(t1, t2)
+        assert verify_glue_map(gmap, t1, t2) is None
+        assert sorted(gc.prime for gc in found) == [2, 3]
+        for gc in found:
+            elements = list(product(*(range(o) for o in gc.comp1.orders)))
+            images = {gc.image_coords(e) for e in elements}
+            assert len(images) == len(elements) == gc.comp2.order
