@@ -164,8 +164,11 @@ def _int_in_range(minimum, maximum=None):
 
     def parse(text):
         digits = decimal_digits(text)
-        ok = digits is not None and digits <= MAX_DIGITS
-        if not ok or int(text) < minimum or (maximum is not None and int(text) > maximum):
+        if digits is not None and digits > MAX_DIGITS:
+            raise argparse.ArgumentTypeError(
+                f"a value of more than {MAX_DIGITS} digits is not an integer {bound}"
+            )
+        if digits is None or int(text) < minimum or (maximum is not None and int(text) > maximum):
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer {bound}")
         return int(text)
 

@@ -431,20 +431,9 @@ def build_trace_form_lattice(field, a):
     return lattice, isometry
 
 
-def dpsi_at(field, y):
-    """Derivative of the trace polynomial evaluated at a field element."""
-    dpsi = field.psi_n.derivative()
-    acc = field.zero()
-    power = field.one()
-    for c in dpsi.coeffs:
-        acc = acc + c * power
-        power = power * y
-    return acc
-
-
 def dpsi_quotient(a):
     """a / Psi_n'(y) at y = zeta + zeta^-1: the trace-form weight, whose
     signs at the real embeddings give the signature of b_a."""
     field = a.field
     y = field.zeta_power(1) + field.zeta_power(-1)
-    return a * dpsi_at(field, y).inverse()
+    return a * field.psi_n.derivative()(y).inverse()

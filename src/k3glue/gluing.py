@@ -17,6 +17,7 @@ from .arith import FactorizationBoundError, factorize
 from .lattices import (
     Lattice,
     check_isometry,
+    glue_group,
     induced_glue_action,
     sylow_decomposition,
 )
@@ -227,9 +228,9 @@ def _pair_num(comp, coords_a, coords_b, p):
     return int(comp.bilinear(coords_a, coords_b) * p) % p
 
 
-def _verify_component(action1, action2, gc):
+def _verify_component(m1, m2, gc):
     """Anti-isometry on generators and pairwise sums, plus equivariance
-    gamma A1 = A2 gamma on the Sylow action matrices."""
+    gamma m1 = m2 gamma on the Sylow action matrices."""
     k = len(gc.comp1.orders)
     basis = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
     probes = list(basis)
@@ -240,8 +241,8 @@ def _verify_component(action1, action2, gc):
         image = gc.image_coords(coords)
         if (gc.comp1.quadratic(coords) + gc.comp2.quadratic(image)) % 2 != 0:
             return "form mismatch"
-    left = gc.matrix @ action1.sylow_matrix(gc.comp1)
-    right = action2.sylow_matrix(gc.comp2) @ gc.matrix
+    left = gc.matrix @ m1
+    right = m2 @ gc.matrix
     for row_l, row_r, d in zip(left.data, right.data, gc.comp2.orders):
         if any((a - b) % d for a, b in zip(row_l, row_r)):
             return "equivariance mismatch"
@@ -276,11 +277,9 @@ def _eigen_split(m, p):
     return out
 
 
-def _find_cyclic(action1, action2, comp1, comp2):
+def _find_cyclic(m1, m2, comp1, comp2):
     d = comp1.orders[0]
     scalars = anti_isometry_scalars(comp1.quadratic((1,)), comp2.quadratic((1,)), d)
-    m1 = action1.sylow_matrix(comp1)[0, 0] % d
-    m2 = action2.sylow_matrix(comp2)[0, 0] % d
     if not scalars:
         raise NoGlueMapError(
             f"no scalar matches the quadratic values at p-part of order {d}",
@@ -288,15 +287,15 @@ def _find_cyclic(action1, action2, comp1, comp2):
         )
     if m1 != m2:
         raise NoGlueMapError(
-            f"cyclic actions differ ({m1} vs {m2} mod {d})",
+            f"cyclic actions differ ({m1[0, 0]} vs {m2[0, 0]} mod {d})",
             "equivariance mismatch",
         )
     return IntMatrix([[scalars[0]]])
 
 
-def _find_eigen(action1, action2, comp1, comp2, p):
-    s1 = _eigen_split(action1.sylow_matrix(comp1), p)
-    s2 = _eigen_split(action2.sylow_matrix(comp2), p)
+def _find_eigen(m1, m2, comp1, comp2, p):
+    s1 = _eigen_split(m1, p)
+    s2 = _eigen_split(m2, p)
     if s1 is None or s2 is None:
         return None
     if [lam for lam, _ in s1] != [lam for lam, _ in s2]:
@@ -324,7 +323,7 @@ def _find_eigen(action1, action2, comp1, comp2, p):
     return IntMatrix([[m[i, j] * inv % p for j in range(2)] for i in range(2)])
 
 
-def _find_exhaustive(action1, action2, comp1, comp2):
+def _find_exhaustive(m1, m2, comp1, comp2):
     size = math.prod(comp1.orders)
     if size > 10**4:
         raise NoGlueMapError(
@@ -355,7 +354,7 @@ def _find_exhaustive(action1, action2, comp1, comp2):
             # anti-isometry of a nondegenerate form: injective, hence onto
             gc = GlueComponent(IntMatrix(assigned).transpose(), comp1, comp2)
             form_only_found = True
-            if _verify_component(action1, action2, gc) is None:
+            if _verify_component(m1, m2, gc) is None:
                 return gc.matrix
             return None
         for cand in elements:
@@ -381,8 +380,7 @@ def find_glue_map(t1, t2):
     Primes are handled in increasing order; within each prime the first
     admissible candidate in a fixed enumeration is taken.
     """
-    action1, action2 = induced_glue_action(t1), induced_glue_action(t2)
-    group1, group2 = action1.glue, action2.glue
+    group1, group2 = glue_group(t1.lattice), glue_group(t2.lattice)
     if group1.order != group2.order:
         raise ValueError("glue groups have different orders")
     for g in (group1, group2):
@@ -401,16 +399,17 @@ def find_glue_map(t1, t2):
                 f"{p}-parts are not isomorphic: {comp1.orders} vs {comp2.orders}",
                 "group mismatch",
             )
+        m1, m2 = induced_glue_action(t1, comp1), induced_glue_action(t2, comp2)
         if len(comp1.orders) == 1:
-            matrix = _find_cyclic(action1, action2, comp1, comp2)
+            matrix = _find_cyclic(m1, m2, comp1, comp2)
         else:
             matrix = None
             if len(comp1.orders) == 2 and comp1.killed_by_p and p % 2 == 1:
-                matrix = _find_eigen(action1, action2, comp1, comp2, p)
+                matrix = _find_eigen(m1, m2, comp1, comp2, p)
             if matrix is None:
-                matrix = _find_exhaustive(action1, action2, comp1, comp2)
+                matrix = _find_exhaustive(m1, m2, comp1, comp2)
         gc = GlueComponent(matrix, comp1, comp2)
-        bad = _verify_component(action1, action2, gc)
+        bad = _verify_component(m1, m2, gc)
         if bad is not None:
             raise AssertionError(f"constructed glue component fails verification: {bad}")
         components.append(gc)
@@ -420,9 +419,10 @@ def find_glue_map(t1, t2):
 def verify_glue_map(gmap, t1, t2):
     """Re-run every component check for t1 and t2; None when clean, else
     the first obstruction as "<prime>: <what failed>"."""
-    action1, action2 = induced_glue_action(t1), induced_glue_action(t2)
     for gc in gmap.components:
-        bad = _verify_component(action1, action2, gc)
+        m1 = induced_glue_action(t1, gc.comp1)
+        m2 = induced_glue_action(t2, gc.comp2)
+        bad = _verify_component(m1, m2, gc)
         if bad is not None:
             return f"{gc.prime}: {bad}"
     return None

@@ -1,6 +1,7 @@
 """Integer lattices: invariants, glue groups with torsion forms,
-isometries and their induced actions on the glue group, twists, and
-sublattice operations (orthogonal complements, primitivity).
+isometries and their induced actions on Sylow components of the glue
+group, twists, and sublattice operations (orthogonal complements,
+primitivity).
 
 A dual vector is the package's one rational form: a tuple of integer
 numerators over one positive denominator, passed as (nums, den).
@@ -296,42 +297,14 @@ def check_isometry(lattice, matrix):
     return Isometry(lattice, matrix)
 
 
-class GlueAction:
-    """Automorphism of the glue group induced by an isometry; `matrix`
-    column j holds the class of the image of generator j."""
-
-    def __init__(self, isometry):
-        self.glue = group = glue_group(isometry.lattice)
-        if group.lifts:
-            images = isometry.matrix @ IntMatrix(group.lifts).transpose()
-            cols = [group.classify(images.col(j), group.lift_den) for j in range(images.cols)]
-            self.matrix = IntMatrix(cols).transpose()
-        else:
-            self.matrix = None
-
-    def sylow_matrix(self, comp):
-        """Action on the generators of one Sylow component, mod its orders.
-
-        Column k expresses the image of the k-th component generator
-        cof_k x_j, read from column j of `matrix` scaled by cof_k.
-        """
-        cols = [
-            comp.project([self.glue.orders[j] // d * c for c in self.matrix.col(j)])
-            for j, d in zip(comp.gen_indices, comp.orders)
-        ]
-        return IntMatrix(cols).transpose()
-
-    def charpoly_mod_p(self, comp):
-        """charpoly of the action on a killed p-part, coefficients in [0, p)."""
-        if not comp.killed_by_p:
-            raise ValueError("p-part is not killed by p, no F_p structure")
-        p = comp.prime
-        cp = charpoly(self.sylow_matrix(comp))
-        return tuple(c % p for c in cp.coeffs)
-
-
-def induced_glue_action(isometry):
-    return GlueAction(isometry)
+def induced_glue_action(isometry, comp):
+    """Action of an isometry on one Sylow component of its lattice's glue
+    group: column k holds the coordinates of the image of generator k,
+    reduced mod the component's orders."""
+    group = glue_group(isometry.lattice)
+    images = isometry.matrix @ IntMatrix(comp.lifts).transpose()
+    cols = [comp.project(group.classify(images.col(k), comp.lift_den)) for k in range(images.cols)]
+    return IntMatrix(cols).transpose()
 
 
 def twist(isometry, a_poly):

@@ -25,7 +25,7 @@ from k3glue.cyclotomic import (
     real_subfield,
 )
 from k3glue.gluing import GlueComponent, GlueMap, anti_isometry_scalars
-from k3glue.lattices import Lattice, glue_group, induced_glue_action, twist
+from k3glue.lattices import Lattice, glue_group, induced_glue_action, sylow_decomposition, twist
 from k3glue.matrices import IntMatrix, charpoly
 from k3glue.polynomials import IntPoly
 from k3glue.salem import (
@@ -151,14 +151,15 @@ def test_glue_invariants_are_the_exact_claimed_values(assembly):
     assert Fraction(l2.bilinear(v2, v2), 25) == Fraction(-142, 5)
     assert g2.quadratic(g2.classify(v2, 5)) == Fraction(8, 5)  # -2/5 mod 2
 
-    a1 = induced_glue_action(assembly.isometry1)
-    a2 = induced_glue_action(assembly.isometry2)
-    assert a1.sylow_matrix(by_prime[5].comp1).data == ((4,),)  # -id mod 5
-    assert a2.sylow_matrix(by_prime[5].comp2).data == ((4,),)
+    t1, t2 = assembly.isometry1, assembly.isometry2
+    assert induced_glue_action(t1, by_prime[5].comp1).data == ((4,),)  # -id mod 5
+    assert induced_glue_action(t2, by_prime[5].comp2).data == ((4,),)
     # ascending coefficients of (X + 121)(X - 124) reduced mod 3001
     linear_factors = ((121 * -124) % 3001, (121 - 124) % 3001, 1)
-    assert a1.charpoly_mod_p(by_prime[3001].comp1) == linear_factors
-    assert a2.charpoly_mod_p(by_prime[3001].comp2) == linear_factors
+    for t, comp in ((t1, by_prime[3001].comp1), (t2, by_prime[3001].comp2)):
+        assert comp.killed_by_p
+        cp = charpoly(induced_glue_action(t, comp))
+        assert tuple(c % 3001 for c in cp.coeffs) == linear_factors
 
     assert norm_real_subfield(real_subfield(assembly.parts["a"])) == 3001
 
@@ -218,7 +219,6 @@ def test_random_suites_and_corruption_isolation():
 
     l1, t1 = build_l1()
     group = glue_group(l1)
-    action = induced_glue_action(t1)
 
     # image classes of the generators, by classifying the isometry's images
     units = [tuple(int(i == j) for j in range(len(group.orders))) for i in range(len(group.orders))]
@@ -226,7 +226,11 @@ def test_random_suites_and_corruption_isolation():
         group.classify([sum(a * c for a, c in zip(row, x)) for row in t1.matrix.data], group.lift_den)
         for x in group.lifts
     ]
-    assert images == [action.matrix.col(j) for j in range(len(images))]
+    # component generator k is cof x_j, so its image is cof times image j
+    for comp in sylow_decomposition(group):
+        m = induced_glue_action(t1, comp)
+        for k, (j, d) in enumerate(zip(comp.gen_indices, comp.orders)):
+            assert m.col(k) == comp.project([group.orders[j] // d * c for c in images[j]])
     for i, x in enumerate(images):
         for j, y in enumerate(images):
             assert group.bilinear(x, y) == group.bilinear(units[i], units[j])

@@ -184,6 +184,24 @@ def test_table1_digits_over_the_bound_exit_2_quickly():
     assert cli._int_in_range(1, cli.MAX_TABLE1_DIGITS)(str(cli.MAX_TABLE1_DIGITS)) == 300
 
 
+def test_integer_options_over_the_digit_limit_name_the_bound(capsys, monkeypatch):
+    # a token over the digit limit is named by the limit, not echoed
+    huge = "9" * 5000
+    for argv in (["table1", "--digits", huge], ["trace-set", "--max", huge],
+                 ["cross-validate", "--max", huge]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"a value of more than {MAX_DIGITS} digits is not an integer" in err
+        assert len(err.encode()) < 300
+    monkeypatch.setenv("K3GLUE_DIGITS", huge)
+    code, out, err = run(capsys, "table1")
+    assert code == 2 and out == ""
+    assert err.startswith(f"input error: K3GLUE_DIGITS=a value of more than {MAX_DIGITS} digits")
+    assert len(err.encode()) < 300
+
+
 def test_lattice_info_prints_a_determinant_over_the_digit_limit(tmp_path):
     # entries of 3001 digits parse, and det = 4 * 10^6000 must still print
     e = 2 * 10**3000

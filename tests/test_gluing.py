@@ -346,7 +346,7 @@ def test_sylow_tables_match_the_torsion_form():
                     assert table.project(group.classify(table.lift_of(c), table.lift_den)) == c
 
 
-def test_sylow_matrix_matches_classified_images():
+def test_induced_glue_action_matches_classified_images():
     rng = random.Random(71)
     cases = [(Lattice([[6002, 3001], [3001, -6002]]), IntMatrix([[1, 1], [1, 2]]))]
     for rank in (3, 4, 5, 6):
@@ -354,12 +354,12 @@ def test_sylow_matrix_matches_classified_images():
         cases.append(_random_even_lattice(rng, rank, p))
     for lat, tmat in cases:
         iso = check_isometry(lat, tmat)
-        action = induced_glue_action(iso)
-        for comp in sylow_decomposition(action.glue):
-            m = action.sylow_matrix(comp)
+        group = glue_group(lat)
+        for comp in sylow_decomposition(group):
+            m = induced_glue_action(iso, comp)
             for k, lift in enumerate(comp.lifts):
                 image = [sum(a * c for a, c in zip(row, lift)) for row in iso.matrix.data]
-                assert m.col(k) == comp.project(action.glue.classify(image, comp.lift_den))
+                assert m.col(k) == comp.project(group.classify(image, comp.lift_den))
 
 
 def test_glue_rejects_a_graph_lift_outside_the_dual():

@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 
 from k3glue.arith import factorize
-from k3glue.matrices import IntMatrix, det
+from k3glue.matrices import IntMatrix, charpoly, det
 from k3glue.lattices import (
-    GlueAction,
     Lattice,
     check_isometry,
     glue_group,
@@ -166,58 +165,70 @@ def random_even_diagonal(rng, max_rank=4):
 
 
 def test_glue_action_preserves_torsion_forms():
+    """On every Sylow component the induced action is a homomorphism in
+    the isometry (I acts as I, -I as -I, T S as the product) and an
+    automorphism preserving b and q, with the lattice's own form on
+    lifts as the oracle for the form values."""
     rng = random.Random(37)
+    shapes = set()
     for _ in range(120):
         lat = random_even_diagonal(rng)
         diag = [lat.gram[i, i] for i in range(lat.rank)]
-        t = signed_permutation_isometry(rng, diag)
-        iso = check_isometry(lat, t)
-        group = glue_group(lat)
-        if not group.orders:
-            continue
-        action = GlueAction(iso)
-        assert action.glue is group
+        t = check_isometry(lat, signed_permutation_isometry(rng, diag))
+        s = check_isometry(lat, signed_permutation_isometry(rng, diag))
+        ts = check_isometry(lat, t.matrix @ s.matrix)
+        one = IntMatrix.identity(lat.rank)
+        for comp in sylow_decomposition(glue_group(lat)):
+            shapes.add(comp.orders)
 
-        def apply(coords):
-            return tuple(
-                sum(m * c for m, c in zip(row, coords)) % d
-                for row, d in zip(action.matrix.data, group.orders)
+            def reduced(m):
+                return [[x % d for x in row] for row, d in zip(m.data, comp.orders)]
+
+            k = len(comp.orders)
+            assert reduced(induced_glue_action(check_isometry(lat, one), comp)) == reduced(
+                IntMatrix.identity(k)
             )
+            assert reduced(induced_glue_action(check_isometry(lat, -1 * one), comp)) == reduced(
+                -1 * IntMatrix.identity(k)
+            )
+            m = induced_glue_action(t, comp)
+            assert reduced(induced_glue_action(ts, comp)) == reduced(m @ induced_glue_action(s, comp))
+            assert det(m) % comp.prime != 0
 
-        for _ in range(5):
-            x = tuple(rng.randrange(d) for d in group.orders)
-            y = tuple(rng.randrange(d) for d in group.orders)
-            gx, gy = apply(x), apply(y)
-            lift = group.lift_of(x)
-            image = [sum(a * c for a, c in zip(row, lift)) for row in iso.matrix.data]
-            assert gx == group.classify(image, group.lift_den)
-            # the lattice's own form on lifts, as Fractions, is the oracle
-            lx, ly, lgx, lgy = (group.lift_of(c) for c in (x, y, gx, gy))
+            def apply(coords):
+                return tuple(
+                    sum(a * c for a, c in zip(row, coords)) % d
+                    for row, d in zip(m.data, comp.orders)
+                )
 
             def b(u, v):
-                return Fraction(lat.bilinear(u, v), group.lift_den**2)
+                return Fraction(lat.bilinear(comp.lift_of(u), comp.lift_of(v)), comp.den)
 
-            assert b(lx, ly) % 1 == b(lgx, lgy) % 1
-            assert b(lx, lx) % 2 == b(lgx, lgx) % 2
-            assert group.bilinear(gx, gy) == group.bilinear(x, y)
-            assert group.quadratic(gx) == group.quadratic(x)
-            assert group.class_order(x) == group.class_order(gx)
+            for _ in range(5):
+                x = tuple(rng.randrange(d) for d in comp.orders)
+                y = tuple(rng.randrange(d) for d in comp.orders)
+                gx, gy = apply(x), apply(y)
+                assert b(gx, gy) % 1 == b(x, y) % 1 == comp.bilinear(x, y)
+                assert b(gx, gx) % 2 == b(x, x) % 2 == comp.quadratic(x)
+                assert comp.bilinear(gx, gy) == comp.bilinear(x, y)
+                assert comp.quadratic(gx) == comp.quadratic(x)
+                assert comp.class_order(gx) == comp.class_order(x)
+    # cyclic and non-cyclic parts at 2 and 3, mixed exponents included
+    assert {(2,), (3,), (2, 2), (3, 3), (2, 4)} <= shapes
 
 
 def test_glue_action_on_the_rank2_block():
     lat = Lattice(L1_GRAM)
     iso = check_isometry(lat, L1_ISO)
-    action = induced_glue_action(iso)
-    comps = sylow_decomposition(action.glue)
-    by_prime = {c.prime: c for c in comps}
+    by_prime = {c.prime: c for c in sylow_decomposition(glue_group(lat))}
     assert sorted(by_prime) == [5, 3001]
     assert by_prime[5].orders == (5,)
     assert by_prime[3001].orders == (3001, 3001)
-    assert action.sylow_matrix(by_prime[5]) == IntMatrix([[4]])
-    assert action.charpoly_mod_p(by_prime[3001]) == (1, 2998, 1)
+    assert induced_glue_action(iso, by_prime[5]) == IntMatrix([[4]])
+    cp = tuple(c % 3001 for c in charpoly(induced_glue_action(iso, by_prime[3001])).coeffs)
+    assert cp == (1, 2998, 1)
     # (X + 121)(X - 124) expanded mod 3001, ascending
-    expanded = ((-121 * 124) % 3001, (121 - 124) % 3001, 1)
-    assert action.charpoly_mod_p(by_prime[3001]) == expanded
+    assert cp == ((-121 * 124) % 3001, (121 - 124) % 3001, 1)
 
 
 def test_isometry_charpoly_is_self_reciprocal_up_to_sign():
